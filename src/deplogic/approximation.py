@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    And,
     Dep,
     Eq,
     Exists,
@@ -75,51 +74,42 @@ def _wrap_round(nf: NormalFormSentence, mapping: dict[str, str], body: Formula) 
     return body
 
 
-def build_approximation(nf: NormalFormSentence, n: int) -> Formula:
-    """The n-th first-order approximation (n >= 1)."""
+def _unroll(nf: NormalFormSentence, n: int, keep_atoms: bool) -> Formula:
+    """n rounds of the prefix, each over its renamed matrix and the guards
+    against every earlier round; with keep_atoms, the innermost round also
+    keeps the sentence's own dependence atoms, renamed."""
     if n < 1:
         raise ValueError("approximation index must be at least 1")
     guards = build_guard_set(nf)
     rounds = _round_renamings(nf, n)
     block: Optional[Formula] = None
     for level in reversed(range(n)):
-        parts: list[Formula] = [rename_free(nf.matrix, rounds[level])]
+        current = rounds[level]
+        parts: list[Formula] = [rename_free(nf.matrix, current)]
+        if keep_atoms and level == n - 1:
+            parts.extend(
+                Dep(tuple(Var(current[v]) for v in w + (y,))) for w, y in nf.dep_atoms
+            )
         for j in range(level):
-            parts.extend(_guard(g, rounds[j], rounds[level]) for g in guards)
+            parts.extend(_guard(g, rounds[j], current) for g in guards)
         if block is not None:
             parts.append(block)
-        block = _wrap_round(nf, rounds[level], conjoin(parts))
+        block = _wrap_round(nf, current, conjoin(parts))
     assert block is not None
     return block
+
+
+def build_approximation(nf: NormalFormSentence, n: int) -> Formula:
+    """The n-th first-order approximation (n >= 1)."""
+    return _unroll(nf, n, keep_atoms=False)
 
 
 def build_omega(nf: NormalFormSentence, n: int) -> Formula:
     """The strengthened approximation: the innermost round keeps the
     sentence's own dependence atoms.  For n = 1 this is the sentence itself."""
-    if n < 1:
-        raise ValueError("approximation index must be at least 1")
     if n == 1:
         return reassemble(nf)
-    guards = build_guard_set(nf)
-    rounds = _round_renamings(nf, n)
-    block: Optional[Formula] = None
-    for level in reversed(range(n)):
-        parts = [rename_free(nf.matrix, rounds[level])]
-        if level == n - 1:
-            parts.extend(
-                Dep(
-                    tuple(Var(rounds[level][v]) for v in w)
-                    + (Var(rounds[level][y]),)
-                )
-                for w, y in nf.dep_atoms
-            )
-        for j in range(level):
-            parts.extend(_guard(g, rounds[j], rounds[level]) for g in guards)
-        if block is not None:
-            parts.append(block)
-        block = _wrap_round(nf, rounds[level], conjoin(parts))
-    assert block is not None
-    return block
+    return _unroll(nf, n, keep_atoms=True)
 
 
 def approximation_chain_check(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/true/accepted, 1 false/rejected/counterexample,
-2 usage or input errors, 3 budget exceeded.
+2 usage or input errors, including formulas nested too deeply to read,
+evaluate or print within Python's recursion limit, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -76,24 +77,20 @@ def _vocabulary(args: argparse.Namespace) -> Vocabulary:
     return EMPTY_VOCABULARY
 
 
-def _formula_text(args: argparse.Namespace, attr: str = "formula") -> str:
-    return getattr(args, attr)
-
-
 def _print(args: argparse.Namespace, phi) -> None:
     print(print_formula(phi, unicode_symbols=not args.ascii))
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
     voc = _vocabulary(args)
-    phi = parse_formula(_formula_text(args), voc)
+    phi = parse_formula(args.formula, voc)
     _print(args, phi)
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     voc, model = parse_model(_read(args.model))
-    phi = parse_formula(_formula_text(args), voc)
+    phi = parse_formula(args.formula, voc)
     budget = _budget(args)
     if args.team:
         team = parse_team(_read(args.team), model)
@@ -106,7 +103,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     voc = _vocabulary(args)
-    phi = parse_formula(_formula_text(args), voc)
+    phi = parse_formula(args.formula, voc)
     nf = to_normal_form(phi)
     _print(args, reassemble(nf))
     return EXIT_OK
@@ -114,7 +111,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_approx(args: argparse.Namespace) -> int:
     voc = _vocabulary(args)
-    phi = parse_formula(_formula_text(args), voc)
+    phi = parse_formula(args.formula, voc)
     nf = to_normal_form(phi)
     _print(args, build_approximation(nf, args.n))
     return EXIT_OK
@@ -155,7 +152,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 def cmd_chain(args: argparse.Namespace) -> int:
     voc, model = parse_model(_read(args.model))
-    phi = parse_formula(_formula_text(args), voc)
+    phi = parse_formula(args.formula, voc)
     nf = to_normal_form(phi)
     values = approximation_chain_check(nf, model, args.up_to, _budget(args))
     print(" ".join("true" if v else "false" for v in values))
@@ -236,11 +233,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as e:
         print(f"error: {e.diagnostic}", file=sys.stderr)
         return EXIT_USAGE
-    except (CliError,) as e:
+    except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except (NormalFormError, SemanticsError, VocabularyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply (recursion limit)", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -33,7 +33,6 @@ from .syntax import (
     is_first_order,
     is_quantifier_free,
     is_sentence,
-    term_vars,
 )
 
 
@@ -109,35 +108,42 @@ def reassemble(nf: NormalFormSentence) -> Formula:
     return body
 
 
+def split_dep_atoms(body: Formula) -> tuple[list[DepAtomSpec], Formula]:
+    """Split a conjunction of any bracketing into its leading dependence
+    atoms and the conjunction of the rest, the matrix.
+
+    The last conjunct always belongs to the matrix.  Raises ShapeError
+    unless every atom is non-empty and over variables and the matrix is
+    quantifier-free and dependence-free.
+    """
+    parts = conjuncts(body)
+    atoms: list[DepAtomSpec] = []
+    for part in parts[:-1]:
+        if not isinstance(part, Dep):
+            break
+        if not part.args or not all(isinstance(t, Var) for t in part.args):
+            raise ShapeError("dependence atoms must be non-empty and over variables")
+        names = tuple(t.name for t in part.args)
+        atoms.append((names[:-1], names[-1]))
+    matrix = conjoin(parts[len(atoms) :])
+    if not is_quantifier_free(matrix) or not is_first_order(matrix):
+        raise ShapeError("matrix must be quantifier-free and dependence-free")
+    return atoms, matrix
+
+
 def match_normal_form(phi: Formula) -> NormalFormSentence:
-    """Parse a formula of the exact reassembled shape back into parts."""
+    """Parse a formula of the normal shape, a universal block, an
+    existential block, then dependence atoms and a matrix conjoined in any
+    bracketing, into its parts."""
     universals: list[str] = []
     existentials: list[str] = []
     while isinstance(phi, Forall):
-        if existentials:
-            raise ShapeError("universal quantifier after an existential")
         universals.append(phi.var)
         phi = phi.body
     while isinstance(phi, Exists):
         existentials.append(phi.var)
         phi = phi.body
-    parts = conjuncts(phi)
-    atoms: list[DepAtomSpec] = []
-    index = 0
-    for part in parts[:-1]:
-        if not isinstance(part, Dep):
-            break
-        if not all(isinstance(t, Var) for t in part.args):
-            raise ShapeError("dependence atoms in normal form must be over variables")
-        if not part.args:
-            raise ShapeError("empty dependence atom in normal form")
-        names = tuple(t.name for t in part.args)
-        atoms.append((names[:-1], names[-1]))
-        index += 1
-    rest = parts[index:]
-    if not rest:
-        raise ShapeError("missing matrix after dependence atoms")
-    matrix = conjoin(rest)
+    atoms, matrix = split_dep_atoms(phi)
     try:
         return NormalFormSentence(
             tuple(universals), tuple(existentials), tuple(atoms), matrix
@@ -293,10 +299,13 @@ def _hoist(theta: Formula, used: set[str]) -> tuple[list[str], list[Dep], Formul
         # dep() hoists to the degenerate pattern exists z (dep(z) & z = z).
         target = theta.args[-1] if theta.args else Var(z)
         return [z], [atom], Eq(Var(z), target)
-    if isinstance(theta, (And, Or)):
+    if isinstance(theta, Or):
         lz, la, lc = _hoist(theta.left, used)
         rz, ra, rc = _hoist(theta.right, used)
-        return lz + rz, la + ra, type(theta)(lc, rc)
+        return lz + rz, la + ra, Or(lc, rc)
+    if isinstance(theta, And):
+        zs, atoms, cores = zip(*(_hoist(p, used) for p in conjuncts(theta)))
+        return sum(zs, []), sum(atoms, []), conjoin(cores)
     raise ShapeError(f"cannot hoist through {type(theta).__name__}")
 
 
@@ -318,27 +327,9 @@ def pull_existentials_left(phi: Formula) -> NormalFormSentence:
         )
         body = body.body
 
-    parts = conjuncts(body)
-    atoms: list[DepAtomSpec] = []
-    index = 0
-    for part in parts[:-1]:
-        if not isinstance(part, Dep):
-            break
-        if not all(isinstance(t, Var) for t in part.args) or not part.args:
-            raise ShapeError("dependence atoms must be over variables")
-        names = tuple(t.name for t in part.args)
-        atoms.append((names[:-1], names[-1]))
-        index += 1
-    rest = parts[index:]
-    if not rest:
-        raise ShapeError("missing matrix")
-    matrix = conjoin(rest)
-    if not is_quantifier_free(matrix) or not is_first_order(matrix):
-        raise ShapeError("matrix must be quantifier-free and dependence-free")
-
+    dep_list, matrix = split_dep_atoms(body)
     universals: list[str] = []
     existentials: list[str] = []
-    dep_list: list[DepAtomSpec] = list(atoms)
 
     def block_free_vars() -> frozenset[str]:
         bound = set(universals) | set(existentials)
@@ -366,8 +357,9 @@ def pull_existentials_left(phi: Formula) -> NormalFormSentence:
 def to_normal_form(phi: Formula) -> NormalFormSentence:
     """Full pipeline: preprocess, prenex, hoist, pull existentials left.
 
-    A sentence already of the normal shape is returned as-is instead of
-    being re-hoisted through fresh variables.
+    A sentence already of the normal shape, its conjunction bracketed in
+    any way, is read off as it stands instead of being re-hoisted through
+    fresh variables.
     """
     if not is_sentence(phi):
         raise NormalFormError(

@@ -10,7 +10,7 @@ dependence introduction/elimination, and the identity axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .diagnostics import Diagnostic
@@ -30,16 +30,13 @@ from .syntax import (
     Var,
     alpha_equal,
     all_vars,
-    conjoin,
-    conjuncts,
     free_vars,
     is_first_order,
-    is_quantifier_free,
     substitute,
     term_vars,
     CaptureError,
 )
-from .normalform import ShapeError, match_normal_form
+from .normalform import DepAtomSpec, ShapeError, match_normal_form, split_dep_atoms
 from .approximation import build_approximation
 
 
@@ -88,26 +85,25 @@ class ProofStep:
 @dataclass(frozen=True)
 class Proof:
     steps: tuple[ProofStep, ...]
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
         if not self.steps:
             raise ValueError("a proof needs at least one step")
-        seen: set[int] = set()
-        for step in self.steps:
-            if step.index in seen:
+        position: dict[int, int] = {}
+        for pos, step in enumerate(self.steps):
+            if step.index in position:
                 raise ValueError(f"duplicate step index {step.index}")
-            seen.add(step.index)
+            position[step.index] = pos
+        object.__setattr__(self, "_position", position)
 
     @property
     def conclusion(self) -> Formula:
         return self.steps[-1].formula
 
     def step(self, index: int) -> ProofStep:
-        for s in self.steps:
-            if s.index == index:
-                return s
-        raise KeyError(index)
+        return self.steps[self._position[index]]
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,6 @@ def apply_rule8(premise: Formula) -> Formula:
 
 @dataclass
 class _Analysis:
-    order: dict[int, int]  # step index -> position
     deps: dict[int, frozenset[int]]  # step index -> open assumptions used
     discharged_at: dict[int, int]  # assumption index -> discharging step
     structural: list[tuple[int, Diagnostic]]
@@ -165,7 +160,7 @@ def _err(msg: str) -> Diagnostic:
 
 
 def _analyze(proof: Proof) -> _Analysis:
-    order = {s.index: pos for pos, s in enumerate(proof.steps)}
+    position = proof._position
     deps: dict[int, frozenset[int]] = {}
     discharged_at: dict[int, int] = {}
     structural: list[tuple[int, Diagnostic]] = []
@@ -173,9 +168,9 @@ def _analyze(proof: Proof) -> _Analysis:
     for pos, step in enumerate(proof.steps):
         problems = []
         for ref in step.premises + step.discharged:
-            if ref not in order:
+            if ref not in position:
                 problems.append(f"reference to missing step {ref}")
-            elif order[ref] >= pos:
+            elif position[ref] >= pos:
                 problems.append(f"reference to step {ref} does not point backwards")
         if step.rule == "assume" and (step.premises or step.discharged):
             problems.append("assumptions take no premises and discharge nothing")
@@ -229,7 +224,7 @@ def _analyze(proof: Proof) -> _Analysis:
 
         deps[step.index] = frozenset(used)
 
-    return _Analysis(order, deps, discharged_at, structural)
+    return _Analysis(deps, discharged_at, structural)
 
 
 def _structural_for(analysis: _Analysis, index: int) -> list[Diagnostic]:
@@ -643,30 +638,22 @@ def _check_unnest(proof, step, analysis):
     return []
 
 
-def _parse_dep_block(phi: Formula) -> tuple[list[str], list[Dep], Formula]:
+def _parse_dep_block(phi: Formula) -> tuple[list[str], list[DepAtomSpec], Formula]:
     """Split exists y1..yn (dep-atoms & core); requires one atom per bound
     variable, each determining its variable, core without dependence atoms."""
     bound: list[str] = []
     while isinstance(phi, Exists):
         bound.append(phi.var)
         phi = phi.body
-    parts = conjuncts(phi)
-    atoms: list[Dep] = []
-    for part in parts[: len(bound)]:
-        if not isinstance(part, Dep):
-            raise RuleSchemaError("expected one dependence atom per quantifier")
-        if not part.args or not all(isinstance(t, Var) for t in part.args):
-            raise RuleSchemaError("dependence atoms must be over variables")
-        atoms.append(part)
-    rest = parts[len(bound) :]
-    if len(atoms) != len(bound) or not rest:
+    try:
+        atoms, core = split_dep_atoms(phi)
+    except ShapeError as e:
+        raise RuleSchemaError(str(e)) from e
+    if len(atoms) != len(bound):
         raise RuleSchemaError("expected one dependence atom per quantifier")
-    for y, atom in zip(bound, atoms):
-        if atom.args[-1] != Var(y):
+    for y, (_, determined) in zip(bound, atoms):
+        if determined != y:
             raise RuleSchemaError(f"atom does not determine its quantifier {y}")
-    core = conjoin(rest)
-    if not is_quantifier_free(core) or not is_first_order(core):
-        raise RuleSchemaError("core must be quantifier-free without dependence atoms")
     return bound, atoms, core
 
 
@@ -689,10 +676,11 @@ def _check_dep_distribute(proof, step, analysis):
         problems.append("left block variables may not appear in the right disjunct")
     if right_names & all_vars(p.left):
         problems.append("right block variables may not appear in the left disjunct")
-    expected = conjoin(list(atoms_a) + list(atoms_b) + [Or(core_a, core_b)])
-    for y in reversed(ys_a + ys_b):
-        expected = Exists(y, expected)
-    if step.formula != expected:
+    try:
+        conclusion = _parse_dep_block(step.formula)
+    except RuleSchemaError:
+        conclusion = None
+    if conclusion != (ys_a + ys_b, atoms_a + atoms_b, Or(core_a, core_b)):
         problems.append("conclusion does not match the distributed form")
     return problems
 

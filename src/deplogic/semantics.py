@@ -183,13 +183,6 @@ class Model:
             if val not in rng:
                 raise SemanticsError(f"constant {name} value {val} out of domain")
 
-    def vocabulary(self) -> Vocabulary:
-        rel_ar = {n: (len(next(iter(ts))) if ts else 0) for n, ts in self.relations.items()}
-        # arity of an empty relation cannot be recovered from tuples; callers
-        # that need exact arities keep the Vocabulary from parse_model.
-        fn_ar = {n: len(next(iter(tbl))) for n, tbl in self.functions.items()}
-        return Vocabulary(rel_ar, fn_ar, frozenset(self.constants))
-
 
 # ---------------------------------------------------------------------------
 # Budget

@@ -418,12 +418,25 @@ def conjoin(parts: Iterable[Formula]) -> Formula:
 
 
 def conjuncts(phi: Formula) -> list[Formula]:
-    """Flatten the right-nested spine of a conjunction."""
-    out = []
-    while isinstance(phi, And):
-        out.append(phi.left)
-        phi = phi.right
-    out.append(phi)
+    """The conjuncts of a conjunction of any bracketing, left to right.
+
+    The right spine is always split.  A left operand is split too when it
+    contains a dependence atom, so (dep & a) & b and dep & (a & b) give the
+    same list [dep, a, b].  A first-order left operand stays whole:
+    (a & b) & dep gives [a & b, dep].
+    """
+    out: list[Formula] = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        while isinstance(f, And):
+            if isinstance(f.left, And) and not is_first_order(f.left):
+                stack.append(f.right)
+                f = f.left
+            else:
+                out.append(f.left)
+                f = f.right
+        out.append(f)
     return out
 
 

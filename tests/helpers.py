@@ -1,5 +1,5 @@
 """Shared test utilities: random AST/model/team generators and the corpus
-of sentences used by the transformation and acceptance tests."""
+of sentences used by the normal-form tests."""
 
 from __future__ import annotations
 
@@ -161,7 +161,7 @@ def _quantifier_free(phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sentence corpus (text, vocabulary) for normal-form and acceptance tests
+# Sentence corpus (text, vocabulary) for the normal-form tests
 
 THETA1_TEXT = "exists z. forall x. exists y. (dep(y,x) & ~(y = z))"
 EXAMPLE3_TEXT = "forall x. exists y. exists z. (dep(y,z) & (x = z & ~(y = c)))"

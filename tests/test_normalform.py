@@ -29,6 +29,7 @@ from deplogic.normalform import (
     preprocess,
     pull_existentials_left,
     reassemble,
+    split_dep_atoms,
     to_normal_form,
     to_prenex,
 )
@@ -262,3 +263,47 @@ class TestNormalFormSentenceInvariants:
     def test_matrix_must_be_dep_free(self):
         with pytest.raises(NormalFormError):
             NormalFormSentence(("x",), (), (), Dep((x,)))
+
+
+VOC_PRC = Vocabulary(relations={"P": 1, "R": 2}, constants={"c"})
+
+# (name, bracketed spelling, bracket-free spelling that the parser nests left)
+SPELLINGS = [
+    (
+        "example3",
+        "forall x. exists y. exists z. (dep(y,z) & (x = z & ~(y = c)))",
+        "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))",
+    ),
+    (
+        "theta1",
+        "exists z. forall x. exists y. (dep(y,x) & (~(y = z) & (P(x) | ~P(x))))",
+        "exists z. forall x. exists y. (dep(y,x) & ~(y = z) & (P(x) | ~P(x)))",
+    ),
+    (
+        "two_universal",
+        "forall x. forall u. exists y. (dep(x,y) & ((R(x,y) | x = u) & (P(u) | ~P(u))))",
+        "forall x. forall u. exists y. (dep(x,y) & (R(x,y) | x = u) & (P(u) | ~P(u)))",
+    ),
+]
+
+
+class TestBracketing:
+    @pytest.mark.parametrize("name,bracketed,flat", SPELLINGS)
+    def test_spellings_share_a_normal_form(self, name, bracketed, flat):
+        assert to_normal_form(parse_formula(flat, VOC_PRC)) == to_normal_form(
+            parse_formula(bracketed, VOC_PRC)
+        )
+
+    def test_flat_example3_is_read_off_without_new_variables(self):
+        nf = to_normal_form(parse_formula(SPELLINGS[0][2], VOC_C))
+        assert nf == to_normal_form(parse_formula(EXAMPLE3_TEXT, VOC_C))
+        assert nf.existentials == ("y", "z")
+
+    def test_split_dep_atoms_reads_either_nesting(self):
+        dep, a, b = Dep((y, z)), Eq(x, z), Not(Eq(y, x))
+        for body in (And(dep, And(a, b)), And(And(dep, a), b)):
+            assert split_dep_atoms(body) == ([(("y",), "z")], And(a, b))
+
+    def test_split_dep_atoms_keeps_last_conjunct_as_matrix(self):
+        with pytest.raises(ShapeError):
+            split_dep_atoms(And(Dep((x,)), Dep((y,))))

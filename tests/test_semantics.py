@@ -44,6 +44,7 @@ from deplogic.semantics import (
 from helpers import THETA1_TEXT, EXAMPLE3_TEXT, VOC_C
 
 x, y, z = Var("x"), Var("y"), Var("z")
+EXAMPLE3_FLAT_TEXT = "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))"
 
 
 def asg(**kwargs):
@@ -224,6 +225,21 @@ class TestBudget:
     def test_budget_must_be_positive(self):
         with pytest.raises(Exception):
             SearchBudget(0)
+
+    def test_bracket_free_example3_is_pruned(self):
+        # The bracket-free spelling nests its conjunction to the left; the
+        # first-order conjuncts still prune the witness search.
+        flat = parse_formula(EXAMPLE3_FLAT_TEXT, VOC_C)
+        m = Model(3, constants={"c": 0})
+        assert not sentence_true(m, flat, SearchBudget(35))
+
+    def test_both_spellings_need_the_same_choice_points(self):
+        m = Model(3, constants={"c": 0})
+        for text in (EXAMPLE3_TEXT, EXAMPLE3_FLAT_TEXT):
+            phi = parse_formula(text, VOC_C)
+            assert not sentence_true(m, phi, SearchBudget(35))
+            with pytest.raises(BudgetExceededError):
+                sentence_true(m, phi, SearchBudget(34))
 
 
 class TestEquivOracle:

@@ -1,8 +1,8 @@
 """Property tests for the semantic invariants: downward closure, locality,
 flatness, empty-team truth, and the substitution lemma.
 
-Hypothesis drives shrinking here; the high-volume randomized suites with
-fixed instance counts live in the acceptance module.
+Hypothesis drives shrinking here; seeded random checks with fixed instance
+counts sit in the test module of the layer they check.
 """
 
 import itertools

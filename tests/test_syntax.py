@@ -28,7 +28,7 @@ from deplogic import (
     is_sentence,
     substitute,
 )
-from deplogic.syntax import check_against, term_vars
+from deplogic.syntax import check_against, conjoin, conjuncts, term_vars
 
 from helpers import VOC_R1C, random_formula
 
@@ -188,3 +188,27 @@ class TestEmptyDep:
     def test_empty_dep_is_legal(self):
         assert Dep(()).args == ()
         assert free_vars(Dep(())) == frozenset()
+
+
+class TestConjuncts:
+    c = Const("c")
+
+    def test_right_nested(self):
+        parts = [Dep((y, z)), Eq(x, z), Not(Eq(y, self.c))]
+        assert conjuncts(conjoin(parts)) == parts
+
+    def test_left_nested_with_dep_atom(self):
+        dep, a, b = Dep((y, z)), Eq(x, z), Not(Eq(y, self.c))
+        assert conjuncts(And(And(dep, a), b)) == [dep, a, b]
+        assert conjuncts(And(And(And(dep, a), dep), b)) == [dep, a, dep, b]
+
+    def test_first_order_left_operand_stays_whole(self):
+        left = And(Eq(x, z), Eq(y, z))
+        assert conjuncts(And(left, Dep((x, y)))) == [left, Dep((x, y))]
+        assert conjuncts(And(left, Eq(x, y))) == [left, Eq(x, y)]
+
+    def test_both_spellings_give_one_list(self):
+        dep, a, b, c = Dep((x, y)), Eq(x, y), Rel("R", (x,)), Eq(y, z)
+        assert conjuncts(And(And(And(dep, a), b), c)) == conjuncts(
+            conjoin([dep, a, b, c])
+        )
