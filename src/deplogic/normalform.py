@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .syntax import (
     And,
-    Apply,
-    Const,
     Dep,
     Eq,
     Exists,
@@ -33,6 +31,10 @@ from .syntax import (
     is_first_order,
     is_quantifier_free,
     is_sentence,
+    map_terms,
+    map_vars,
+    rebuild,
+    subformulas,
 )
 
 
@@ -164,54 +166,23 @@ def preprocess(phi: Formula) -> Formula:
 
 
 def _rename_binders(phi: Formula, env: dict[str, str], used: set[str]) -> Formula:
-    def rt(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, Const):
-            return t
-        assert isinstance(t, Apply)
-        return Apply(t.func, tuple(rt(a) for a in t.args))
+    if isinstance(phi, (Exists, Forall)):
+        fresh = fresh_variable(used, phi.var)
+        used.add(fresh)
+        (body,) = subformulas(phi)
+        return type(phi)(fresh, _rename_binders(body, {**env, phi.var: fresh}, used))
 
-    if isinstance(phi, Dep):
-        return Dep(tuple(rt(a) for a in phi.args))
-    if isinstance(phi, Rel):
-        return Rel(phi.name, tuple(rt(a) for a in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(rt(phi.left), rt(phi.right))
-    if isinstance(phi, Not):
-        return Not(_rename_binders(phi.body, env, used))
-    if isinstance(phi, And):
-        return And(
-            _rename_binders(phi.left, env, used),
-            _rename_binders(phi.right, env, used),
-        )
-    if isinstance(phi, Or):
-        return Or(
-            _rename_binders(phi.left, env, used),
-            _rename_binders(phi.right, env, used),
-        )
-    assert isinstance(phi, (Exists, Forall))
-    fresh = fresh_variable(used, phi.var)
-    used.add(fresh)
-    inner_env = dict(env)
-    inner_env[phi.var] = fresh
-    body = _rename_binders(phi.body, inner_env, used)
-    return type(phi)(fresh, body)
+    def rename(t: Term) -> Term:
+        return map_vars(t, lambda v: Var(env.get(v.name, v.name)))
+
+    parts = [_rename_binders(p, env, used) for p in subformulas(phi)]
+    return rebuild(map_terms(phi, rename), parts)
 
 
 def _unnest_deps(phi: Formula, used: set[str]) -> Formula:
-    if isinstance(phi, (Rel, Eq)):
-        return phi
     if isinstance(phi, Dep):
         return _unnest_atom(phi.args, used)
-    if isinstance(phi, Not):
-        return Not(_unnest_deps(phi.body, used))
-    if isinstance(phi, And):
-        return And(_unnest_deps(phi.left, used), _unnest_deps(phi.right, used))
-    if isinstance(phi, Or):
-        return Or(_unnest_deps(phi.left, used), _unnest_deps(phi.right, used))
-    assert isinstance(phi, (Exists, Forall))
-    return type(phi)(phi.var, _unnest_deps(phi.body, used))
+    return rebuild(phi, [_unnest_deps(p, used) for p in subformulas(phi)])
 
 
 def _unnest_atom(args: tuple[Term, ...], used: set[str]) -> Formula:

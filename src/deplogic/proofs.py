@@ -17,7 +17,6 @@ from .diagnostics import Diagnostic
 from .syntax import (
     And,
     Apply,
-    Const,
     Dep,
     Eq,
     Exists,
@@ -25,13 +24,15 @@ from .syntax import (
     Formula,
     Not,
     Or,
-    Rel,
     Term,
     Var,
+    aligned_terms,
     alpha_equal,
+    alpha_key,
     all_vars,
     free_vars,
     is_first_order,
+    nest_right,
     substitute,
     term_vars,
     CaptureError,
@@ -42,35 +43,6 @@ from .approximation import build_approximation
 
 class RuleSchemaError(Exception):
     """A forward rule application does not match the rule's premise schema."""
-
-
-RULES = frozenset(
-    {
-        "assume",
-        "and_i",
-        "and_e_l",
-        "and_e_r",
-        "or_i_l",
-        "or_i_r",
-        "or_e",
-        "neg_i",
-        "neg_e",
-        "forall_i",
-        "forall_e",
-        "exists_i",
-        "exists_e",
-        "disj_subst",
-        "disj_comm",
-        "disj_assoc",
-        "scope_forall",
-        "scope_exists",
-        "unnest",
-        "dep_distribute",
-        "dep_intro",
-        "dep_elim",
-        "identity",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -209,12 +181,14 @@ def _analyze(proof: Proof) -> _Analysis:
                 )
                 continue
             if d in discharged_at:
+                closer = discharged_at[d]
                 structural.append(
                     (
                         step.index,
                         _err(
-                            f"assumption {d} was already discharged at step "
-                            f"{discharged_at[d]}"
+                            f"the step discharges assumption {d} twice"
+                            if closer == step.index
+                            else f"assumption {d} was already discharged at step {closer}"
                         ),
                     )
                 )
@@ -252,10 +226,11 @@ def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
         for message in _check_rule(proof, step, analysis):
             failures.append((step.index, _err(message)))
 
+    hypotheses = {alpha_key(h) for h in allowed_open}
     for step in proof.steps:
         if step.rule != "assume" or step.index in analysis.discharged_at:
             continue
-        if not any(alpha_equal(step.formula, h) for h in allowed_open):
+        if alpha_key(step.formula) not in hypotheses:
             failures.append(
                 (
                     step.index,
@@ -436,48 +411,17 @@ def _instantiation_term(
 
     def terms(a: Term, b: Term, shadowed: bool) -> bool:
         if isinstance(a, Var) and a.name == x and not shadowed:
-            if witness and witness[0] != b:
-                return False
             if not witness:
                 witness.append(b)
-            return True
-        if isinstance(a, Var) and isinstance(b, Var):
-            return a.name == b.name
-        if isinstance(a, Const) and isinstance(b, Const):
-            return a.name == b.name
-        if isinstance(a, Apply) and isinstance(b, Apply):
-            return (
-                a.func == b.func
-                and len(a.args) == len(b.args)
-                and all(terms(s, t, shadowed) for s, t in zip(a.args, b.args))
-            )
-        return False
-
-    def go(a: Formula, b: Formula, shadowed: bool) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Rel):
-            return (
-                a.name == b.name
-                and len(a.args) == len(b.args)
-                and all(terms(s, t, shadowed) for s, t in zip(a.args, b.args))
-            )
-        if isinstance(a, Eq):
-            return terms(a.left, b.left, shadowed) and terms(a.right, b.right, shadowed)
-        if isinstance(a, Dep):
+            return witness[0] == b
+        if isinstance(a, Apply) and isinstance(b, Apply) and a.func == b.func:
             return len(a.args) == len(b.args) and all(
                 terms(s, t, shadowed) for s, t in zip(a.args, b.args)
             )
-        if isinstance(a, Not):
-            return go(a.body, b.body, shadowed)
-        if isinstance(a, (And, Or)):
-            return go(a.left, b.left, shadowed) and go(a.right, b.right, shadowed)
-        assert isinstance(a, (Exists, Forall))
-        if a.var != b.var:
-            return False
-        return go(a.body, b.body, shadowed or a.var == x)
+        return a == b
 
-    ok = go(template, instance, False)
+    pairs = aligned_terms(template, instance)
+    ok = pairs is not None and all(terms(s, t, x in bound) for s, t, bound in pairs)
     return ok, (witness[0] if witness else None)
 
 
@@ -677,10 +621,10 @@ def _check_dep_distribute(proof, step, analysis):
     if right_names & all_vars(p.left):
         problems.append("right block variables may not appear in the left disjunct")
     try:
-        conclusion = _parse_dep_block(step.formula)
+        conclusion = _parse_dep_block(nest_right(step.formula))
     except RuleSchemaError:
         conclusion = None
-    if conclusion != (ys_a + ys_b, atoms_a + atoms_b, Or(core_a, core_b)):
+    if conclusion != (ys_a + ys_b, atoms_a + atoms_b, nest_right(Or(core_a, core_b))):
         problems.append("conclusion does not match the distributed form")
     return problems
 
@@ -693,7 +637,7 @@ def _check_dep_intro(proof, step, analysis):
     if not (isinstance(p, Exists) and isinstance(p.body, Forall)):
         return ["premise must have shape exists x forall y A"]
     x, y, body = p.var, p.body.var, p.body.body
-    c = step.formula
+    c = nest_right(step.formula)
     if not (
         isinstance(c, Forall)
         and c.var == y
@@ -701,7 +645,7 @@ def _check_dep_intro(proof, step, analysis):
         and c.body.var == x
         and isinstance(c.body.body, And)
         and isinstance(c.body.body.left, Dep)
-        and c.body.body.right == body
+        and c.body.body.right == nest_right(body)
     ):
         return ["conclusion must have shape forall y exists x (dep(..., x) & A)"]
     atom = c.body.body.left
@@ -751,30 +695,11 @@ def _rewrites_to(a: Formula, b: Formula, t1: Term, t2: Term) -> bool:
             )
         return False
 
-    def go(x: Formula, y: Formula) -> bool:
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Rel):
-            return (
-                x.name == y.name
-                and len(x.args) == len(y.args)
-                and all(rt(s, t) for s, t in zip(x.args, y.args))
-            )
-        if isinstance(x, Eq):
-            return rt(x.left, y.left) and rt(x.right, y.right)
-        if isinstance(x, Not):
-            return go(x.body, y.body)
-        if isinstance(x, (And, Or)):
-            return go(x.left, y.left) and go(x.right, y.right)
-        if isinstance(x, (Exists, Forall)):
-            if x.var != y.var:
-                return False
-            if x.var in term_vars(t1) | term_vars(t2):
-                return x == y
-            return go(x.body, y.body)
-        return False
-
-    return go(a, b)
+    touched = term_vars(t1) | term_vars(t2)
+    pairs = aligned_terms(a, b)
+    return pairs is not None and all(
+        s == t if touched.intersection(bound) else rt(s, t) for s, t, bound in pairs
+    )
 
 
 def _check_identity(proof, step, analysis):
@@ -836,3 +761,5 @@ _CHECKERS = {
     "dep_elim": _check_dep_elim,
     "identity": _check_identity,
 }
+
+RULES = frozenset(_CHECKERS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class SyntaxError_(Exception):
@@ -112,26 +112,32 @@ class Apply(Term):
             raise VocabularyError(f"function {self.func} applied to no arguments")
 
 
+def walk_term(t: Term) -> Iterator[Term]:
+    """Every node of a term in pre-order, the term itself first."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, Apply):
+            stack.extend(reversed(u.args))
+
+
+def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
+    """The term with every variable v replaced by f(v)."""
+    if isinstance(t, Var):
+        return f(t)
+    if isinstance(t, Apply):
+        return Apply(t.func, tuple(map_vars(a, f) for a in t.args))
+    return t
+
+
 def term_vars(t: Term) -> frozenset[str]:
     """Variables occurring in a term."""
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Const):
-        return frozenset()
-    assert isinstance(t, Apply)
-    out: frozenset[str] = frozenset()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+    return frozenset(u.name for u in walk_term(t) if isinstance(u, Var))
 
 
 def substitute_term(t: Term, replacement: Term, x: str) -> Term:
-    if isinstance(t, Var):
-        return replacement if t.name == x else t
-    if isinstance(t, Const):
-        return t
-    assert isinstance(t, Apply)
-    return Apply(t.func, tuple(substitute_term(a, replacement, x) for a in t.args))
+    return map_vars(t, lambda v: replacement if v.name == x else v)
 
 
 # ---------------------------------------------------------------------------
@@ -203,56 +209,91 @@ class Forall(Formula):
     body: Formula
 
 
-_BINARY = (And, Or)
 _QUANT = (Exists, Forall)
+
+
+# ---------------------------------------------------------------------------
+# Traversal: the only code that knows which fields of a node are its
+# subformulas and which are its terms.
+
+def subformulas(phi: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of a node, left to right; () for atoms."""
+    if isinstance(phi, (And, Or)):
+        return (phi.left, phi.right)
+    if isinstance(phi, (Not, Exists, Forall)):
+        return (phi.body,)
+    return ()
+
+
+def rebuild(phi: Formula, parts: Sequence[Formula]) -> Formula:
+    """The node with its immediate subformulas replaced by parts, in the
+    order subformulas gives them; an atom is returned as it is."""
+    if isinstance(phi, (And, Or)):
+        return type(phi)(*parts)
+    if isinstance(phi, Not):
+        return Not(*parts)
+    if isinstance(phi, _QUANT):
+        return type(phi)(phi.var, *parts)
+    return phi
+
+
+def walk(phi: Formula) -> Iterator[tuple[Formula, tuple[str, ...]]]:
+    """Every node in pre-order, without recursion, each with the variables
+    of the quantifiers above it, outermost first."""
+    stack: list[tuple[Formula, tuple[str, ...]]] = [(phi, ())]
+    while stack:
+        f, binders = stack.pop()
+        yield f, binders
+        if isinstance(f, _QUANT):
+            binders = binders + (f.var,)
+        for p in reversed(subformulas(f)):
+            stack.append((p, binders))
+
+
+def atom_terms(phi: Formula) -> tuple[Term, ...]:
+    """The argument terms of an atom, left to right; () for other nodes."""
+    if isinstance(phi, Eq):
+        return (phi.left, phi.right)
+    if isinstance(phi, (Rel, Dep)):
+        return phi.args
+    return ()
+
+
+def map_terms(phi: Formula, f: Callable[[Term], Term]) -> Formula:
+    """The atom with f applied to each argument term; other nodes are
+    returned as they are."""
+    if isinstance(phi, Rel):
+        return Rel(phi.name, tuple(map(f, phi.args)))
+    if isinstance(phi, Eq):
+        return Eq(f(phi.left), f(phi.right))
+    if isinstance(phi, Dep):
+        return Dep(tuple(map(f, phi.args)))
+    return phi
+
+
+def _head(phi: Formula) -> tuple[object, ...]:
+    """What fixes a node once its subformulas, terms and binder are given:
+    its class, a relation's symbol and the number of argument terms."""
+    return (type(phi), phi.name if isinstance(phi, Rel) else None, len(atom_terms(phi)))
 
 
 @lru_cache(maxsize=65536)
 def is_first_order(phi: Formula) -> bool:
     """True iff no dependence atom occurs anywhere in the formula."""
-    if isinstance(phi, Dep):
-        return False
-    if isinstance(phi, (Rel, Eq)):
-        return True
-    if isinstance(phi, Not):
-        return is_first_order(phi.body)
-    if isinstance(phi, _BINARY):
-        return is_first_order(phi.left) and is_first_order(phi.right)
-    assert isinstance(phi, _QUANT)
-    return is_first_order(phi.body)
+    return not isinstance(phi, Dep) and all(map(is_first_order, subformulas(phi)))
 
 
 def is_quantifier_free(phi: Formula) -> bool:
-    if isinstance(phi, _QUANT):
-        return False
-    if isinstance(phi, Not):
-        return is_quantifier_free(phi.body)
-    if isinstance(phi, _BINARY):
-        return is_quantifier_free(phi.left) and is_quantifier_free(phi.right)
-    return True
+    return not any(isinstance(f, _QUANT) for f, _ in walk(phi))
 
 
 @lru_cache(maxsize=65536)
 def free_vars(phi: Formula) -> frozenset[str]:
     """Free variables; dependence atoms contribute all their term variables."""
-    if isinstance(phi, Rel):
-        out: frozenset[str] = frozenset()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(phi, Eq):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, Dep):
-        out = frozenset()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, _BINARY):
-        return free_vars(phi.left) | free_vars(phi.right)
-    assert isinstance(phi, _QUANT)
-    return free_vars(phi.body) - {phi.var}
+    out = frozenset().union(
+        *map(term_vars, atom_terms(phi)), *map(free_vars, subformulas(phi))
+    )
+    return out - {phi.var} if isinstance(phi, _QUANT) else out
 
 
 def is_sentence(phi: Formula) -> bool:
@@ -261,14 +302,7 @@ def is_sentence(phi: Formula) -> bool:
 
 def bound_vars(phi: Formula) -> frozenset[str]:
     """All variables bound by some quantifier in the formula."""
-    if isinstance(phi, (Rel, Eq, Dep)):
-        return frozenset()
-    if isinstance(phi, Not):
-        return bound_vars(phi.body)
-    if isinstance(phi, _BINARY):
-        return bound_vars(phi.left) | bound_vars(phi.right)
-    assert isinstance(phi, _QUANT)
-    return bound_vars(phi.body) | {phi.var}
+    return frozenset(f.var for f, _ in walk(phi) if isinstance(f, _QUANT))
 
 
 def all_vars(phi: Formula) -> frozenset[str]:
@@ -281,27 +315,15 @@ def substitute(phi: Formula, t: Term, x: str) -> Formula:
     Raises CaptureError if a variable of t would become bound; the
     operation never renames binders on its own.
     """
-    if isinstance(phi, Rel):
-        return Rel(phi.name, tuple(substitute_term(a, t, x) for a in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(substitute_term(phi.left, t, x), substitute_term(phi.right, t, x))
-    if isinstance(phi, Dep):
-        return Dep(tuple(substitute_term(a, t, x) for a in phi.args))
-    if isinstance(phi, Not):
-        return Not(substitute(phi.body, t, x))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, t, x), substitute(phi.right, t, x))
-    if isinstance(phi, Or):
-        return Or(substitute(phi.left, t, x), substitute(phi.right, t, x))
-    assert isinstance(phi, _QUANT)
-    if phi.var == x:
-        return phi
-    if x in free_vars(phi.body) and phi.var in term_vars(t):
-        raise CaptureError(
-            f"substituting for {x} would capture {phi.var} from the term"
-        )
-    cls = type(phi)
-    return cls(phi.var, substitute(phi.body, t, x))
+    if isinstance(phi, _QUANT):
+        if phi.var == x:
+            return phi
+        if phi.var in term_vars(t) and x in free_vars(phi):
+            raise CaptureError(
+                f"substituting for {x} would capture {phi.var} from the term"
+            )
+    node = map_terms(phi, lambda u: substitute_term(u, t, x))
+    return rebuild(node, [substitute(p, t, x) for p in subformulas(phi)])
 
 
 def rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
@@ -312,29 +334,16 @@ def rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
     if not is_quantifier_free(phi):
         raise ValueError("rename_free expects a quantifier-free formula")
 
-    def rt(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(mapping.get(t.name, t.name))
-        if isinstance(t, Const):
-            return t
-        assert isinstance(t, Apply)
-        return Apply(t.func, tuple(rt(a) for a in t.args))
+    def rename(v: Var) -> Term:
+        return Var(mapping.get(v.name, v.name))
 
-    def rf(f: Formula) -> Formula:
-        if isinstance(f, Rel):
-            return Rel(f.name, tuple(rt(a) for a in f.args))
-        if isinstance(f, Eq):
-            return Eq(rt(f.left), rt(f.right))
-        if isinstance(f, Dep):
-            return Dep(tuple(rt(a) for a in f.args))
-        if isinstance(f, Not):
-            return Not(rf(f.body))
-        if isinstance(f, And):
-            return And(rf(f.left), rf(f.right))
-        assert isinstance(f, Or)
-        return Or(rf(f.left), rf(f.right))
+    def go(f: Formula) -> Formula:
+        parts = subformulas(f)
+        if parts:
+            return rebuild(f, [go(p) for p in parts])
+        return map_terms(f, lambda t: map_vars(t, rename))
 
-    return rf(phi)
+    return go(phi)
 
 
 def fresh_variable(avoid: Iterable[str], hint: str) -> str:
@@ -349,58 +358,46 @@ def fresh_variable(avoid: Iterable[str], hint: str) -> str:
     raise AssertionError("unreachable")
 
 
+def alpha_key(phi: Formula) -> tuple[object, ...]:
+    """A hashable key, equal for two formulas exactly when they are equal up
+    to consistent renaming of bound variables: the nodes in pre-order, where
+    a bound variable is the depth of its binder (an int) and a free
+    variable its name (a str)."""
+    key: list[object] = []
+    for f, binders in walk(phi):
+        key += _head(f)
+        terms = atom_terms(f)
+        if not terms:
+            continue
+        depth = {v: i for i, v in enumerate(binders)}
+        for u in (u for t in terms for u in walk_term(t)):
+            if isinstance(u, Var):
+                key.append(depth.get(u.name, u.name))
+            elif isinstance(u, Const):
+                key += (Const, u.name)
+            else:
+                key += (Apply, u.func, len(u.args))
+    return tuple(key)
+
+
 def alpha_equal(phi: Formula, psi: Formula) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
+    return alpha_key(phi) == alpha_key(psi)
 
-    def terms_eq(a: Term, b: Term, m1: dict[str, int], m2: dict[str, int]) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            if a.name in m1 or b.name in m2:
-                return m1.get(a.name) == m2.get(b.name) and a.name in m1 and b.name in m2
-            return a.name == b.name
-        if isinstance(a, Const) and isinstance(b, Const):
-            return a.name == b.name
-        if isinstance(a, Apply) and isinstance(b, Apply):
-            return (
-                a.func == b.func
-                and len(a.args) == len(b.args)
-                and all(terms_eq(x, y, m1, m2) for x, y in zip(a.args, b.args))
-            )
-        return False
 
-    def go(a: Formula, b: Formula, m1: dict[str, int], m2: dict[str, int], depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Rel):
-            assert isinstance(b, Rel)
-            return (
-                a.name == b.name
-                and len(a.args) == len(b.args)
-                and all(terms_eq(x, y, m1, m2) for x, y in zip(a.args, b.args))
-            )
-        if isinstance(a, Eq):
-            assert isinstance(b, Eq)
-            return terms_eq(a.left, b.left, m1, m2) and terms_eq(a.right, b.right, m1, m2)
-        if isinstance(a, Dep):
-            assert isinstance(b, Dep)
-            return len(a.args) == len(b.args) and all(
-                terms_eq(x, y, m1, m2) for x, y in zip(a.args, b.args)
-            )
-        if isinstance(a, Not):
-            assert isinstance(b, Not)
-            return go(a.body, b.body, m1, m2, depth)
-        if isinstance(a, _BINARY):
-            assert isinstance(b, _BINARY)
-            return go(a.left, b.left, m1, m2, depth) and go(
-                a.right, b.right, m1, m2, depth
-            )
-        assert isinstance(a, _QUANT) and isinstance(b, _QUANT)
-        n1 = dict(m1)
-        n2 = dict(m2)
-        n1[a.var] = depth
-        n2[b.var] = depth
-        return go(a.body, b.body, n1, n2, depth + 1)
-
-    return go(phi, psi, {}, {}, 0)
+def aligned_terms(
+    a: Formula, b: Formula
+) -> Optional[list[tuple[Term, Term, tuple[str, ...]]]]:
+    """The pairs of corresponding argument terms of two formulas, in
+    pre-order, each with the variables of the quantifiers above it; None
+    unless the formulas agree everywhere outside their terms, binder names
+    included."""
+    pairs = []
+    for (f, binders), (g, other) in zip(walk(a), walk(b)):
+        if _head(f) != _head(g) or binders != other:
+            return None
+        pairs.extend((s, t, binders) for s, t in zip(atom_terms(f), atom_terms(g)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -440,67 +437,26 @@ def conjuncts(phi: Formula) -> list[Formula]:
     return out
 
 
+def nest_right(phi: Formula) -> Formula:
+    """The formula with every chain of & re-nested to the right, however it
+    was bracketed.  & is associative under team semantics, so the result is
+    equivalent to the input."""
+    if not isinstance(phi, And):
+        return rebuild(phi, [nest_right(p) for p in subformulas(phi)])
+    leaves: list[Formula] = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.extend(reversed(subformulas(f)))
+        else:
+            leaves.append(nest_right(f))
+    return conjoin(leaves)
+
+
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
     """Material implication ~A | B; the antecedent must be first-order."""
     return Or(Not(antecedent), consequent)
-
-
-def check_against(phi: Formula, voc: Vocabulary) -> None:
-    """Raise VocabularyError unless all symbol uses conform to voc."""
-
-    def ct(t: Term) -> None:
-        if isinstance(t, Var):
-            if voc.declares(t.name):
-                raise VocabularyError(
-                    f"variable {t.name} collides with a declared symbol"
-                )
-            return
-        if isinstance(t, Const):
-            if t.name not in voc.constants:
-                raise VocabularyError(f"unknown constant {t.name}")
-            return
-        assert isinstance(t, Apply)
-        arity = voc.functions.get(t.func)
-        if arity is None:
-            raise VocabularyError(f"unknown function {t.func}")
-        if arity != len(t.args):
-            raise VocabularyError(
-                f"function {t.func} expects {arity} arguments, got {len(t.args)}"
-            )
-        for a in t.args:
-            ct(a)
-
-    def cf(f: Formula) -> None:
-        if isinstance(f, Rel):
-            arity = voc.relations.get(f.name)
-            if arity is None:
-                raise VocabularyError(f"unknown relation {f.name}")
-            if arity != len(f.args):
-                raise VocabularyError(
-                    f"relation {f.name} expects {arity} arguments, got {len(f.args)}"
-                )
-            for a in f.args:
-                ct(a)
-        elif isinstance(f, Eq):
-            ct(f.left)
-            ct(f.right)
-        elif isinstance(f, Dep):
-            for a in f.args:
-                ct(a)
-        elif isinstance(f, Not):
-            cf(f.body)
-        elif isinstance(f, _BINARY):
-            cf(f.left)
-            cf(f.right)
-        else:
-            assert isinstance(f, _QUANT)
-            if voc.declares(f.var):
-                raise VocabularyError(
-                    f"bound variable {f.var} collides with a declared symbol"
-                )
-            cf(f.body)
-
-    cf(phi)
 
 
 def infer_vocabulary(phi: Formula) -> Vocabulary:
@@ -508,35 +464,13 @@ def infer_vocabulary(phi: Formula) -> Vocabulary:
     relations: dict[str, int] = {}
     functions: dict[str, int] = {}
     constants: set[str] = set()
-
-    def it(t: Term) -> None:
-        if isinstance(t, Const):
-            constants.add(t.name)
-        elif isinstance(t, Apply):
-            if functions.setdefault(t.func, len(t.args)) != len(t.args):
-                raise VocabularyError(f"function {t.func} used at two arities")
-            for a in t.args:
-                it(a)
-
-    def go(f: Formula) -> None:
-        if isinstance(f, Rel):
-            if relations.setdefault(f.name, len(f.args)) != len(f.args):
-                raise VocabularyError(f"relation {f.name} used at two arities")
-            for a in f.args:
-                it(a)
-        elif isinstance(f, Eq):
-            it(f.left)
-            it(f.right)
-        elif isinstance(f, Dep):
-            for a in f.args:
-                it(a)
-        elif isinstance(f, Not):
-            go(f.body)
-        elif isinstance(f, _BINARY):
-            go(f.left)
-            go(f.right)
-        elif isinstance(f, _QUANT):
-            go(f.body)
-
-    go(phi)
+    for f, _ in walk(phi):
+        if isinstance(f, Rel) and relations.setdefault(f.name, len(f.args)) != len(f.args):
+            raise VocabularyError(f"relation {f.name} used at two arities")
+        for u in (u for t in atom_terms(f) for u in walk_term(t)):
+            if isinstance(u, Const):
+                constants.add(u.name)
+            elif isinstance(u, Apply):
+                if functions.setdefault(u.func, len(u.args)) != len(u.args):
+                    raise VocabularyError(f"function {u.func} used at two arities")
     return Vocabulary(relations, functions, frozenset(constants))

@@ -28,7 +28,15 @@ from deplogic import (
     is_sentence,
     substitute,
 )
-from deplogic.syntax import check_against, conjoin, conjuncts, term_vars
+from deplogic.syntax import (
+    alpha_key,
+    bound_vars,
+    conjoin,
+    conjuncts,
+    is_quantifier_free,
+    nest_right,
+    term_vars,
+)
 
 from helpers import VOC_R1C, random_formula
 
@@ -146,6 +154,9 @@ class TestAlphaEqual:
         b = Forall("u", Forall("v", Rel("R", (Var("v"),))))
         assert alpha_equal(a, b)
 
+    def test_bound_and_free_occurrences_differ(self):
+        assert not alpha_equal(Exists("u", Eq(Var("u"), x)), Exists("x", Eq(x, x)))
+
     def test_equivalence_relation_on_random_formulas(self):
         rng = random.Random(9)
         formulas = [random_formula(rng, VOC_R1C, ["x", "y"], depth=3) for _ in range(60)]
@@ -155,6 +166,41 @@ class TestAlphaEqual:
             assert alpha_equal(phi, psi) == alpha_equal(psi, phi)
             if alpha_equal(phi, psi):
                 assert free_vars(phi) == free_vars(psi)
+        # alpha_key against a reference that renames each binder by its depth
+        renamed = [canonical(phi) for phi in formulas]
+        pairs = list(zip(formulas, renamed)) + list(zip(formulas, renamed[1:]))
+        pairs += list(zip(formulas, formulas[1:]))
+        assert any(phi != psi and canonical(phi) == canonical(psi) for phi, psi in pairs)
+        for phi, psi in pairs:
+            expected = canonical(phi) == canonical(psi)
+            assert (alpha_key(phi) == alpha_key(psi)) == expected
+            assert alpha_equal(phi, psi) == expected
+
+
+def canonical(phi, env=None, depth=0):
+    """phi with every bound variable renamed to `#<depth of its binder>`: a
+    reference for alpha-equality that shares no code with alpha_key."""
+    env = env or {}
+
+    def term(t):
+        if isinstance(t, Var):
+            return Var(env.get(t.name, t.name))
+        if isinstance(t, Apply):
+            return Apply(t.func, tuple(map(term, t.args)))
+        return t
+
+    if isinstance(phi, Rel):
+        return Rel(phi.name, tuple(map(term, phi.args)))
+    if isinstance(phi, Eq):
+        return Eq(term(phi.left), term(phi.right))
+    if isinstance(phi, Dep):
+        return Dep(tuple(map(term, phi.args)))
+    if isinstance(phi, Not):
+        return Not(canonical(phi.body, env, depth))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(canonical(phi.left, env, depth), canonical(phi.right, env, depth))
+    name = f"#{depth}"
+    return type(phi)(name, canonical(phi.body, {**env, phi.var: name}, depth + 1))
 
 
 class TestVocabulary:
@@ -165,11 +211,6 @@ class TestVocabulary:
     def test_function_arity_positive(self):
         with pytest.raises(VocabularyError):
             Vocabulary(functions={"f": 0})
-
-    def test_check_against_flags_bad_arity(self):
-        voc = Vocabulary(relations={"R": 2})
-        with pytest.raises(VocabularyError):
-            check_against(Rel("R", (x,)), voc)
 
     def test_infer_vocabulary(self):
         phi = And(Rel("R", (Apply("f", (x,)),)), Eq(Const("c"), x))
@@ -212,3 +253,22 @@ class TestConjuncts:
         assert conjuncts(And(And(And(dep, a), b), c)) == conjuncts(
             conjoin([dep, a, b, c])
         )
+
+    def test_nest_right_reaches_every_chain(self):
+        a, b, c = Eq(x, y), Rel("R", (x,)), Eq(y, z)
+        left = Exists("x", Or(And(And(a, b), c), And(And(b, c), a)))
+        right = Exists("x", Or(conjoin([a, b, c]), conjoin([b, c, a])))
+        assert nest_right(left) == right
+        assert nest_right(right) == right
+
+
+class TestDeepFormulas:
+    """Walkers that return on a conjunction 5000 deep, past the recursion limit."""
+
+    def test_walkers_return(self):
+        matrix = conjoin([Eq(x, y)] * 5000)
+        assert is_quantifier_free(matrix)
+        assert bound_vars(Exists("x", matrix)) == {"x"}
+        renamed = Exists("z", conjoin([Eq(z, y)] * 5000))
+        assert alpha_equal(Exists("x", matrix), renamed)
+        assert not alpha_equal(Exists("x", matrix), Exists("y", matrix))
