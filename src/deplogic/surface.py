@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .diagnostics import Diagnostic, ParseError, SourceText, Span, error_at
 from .syntax import (

@@ -454,11 +454,6 @@ def nest_right(phi: Formula) -> Formula:
     return conjoin(leaves)
 
 
-def implies(antecedent: Formula, consequent: Formula) -> Formula:
-    """Material implication ~A | B; the antecedent must be first-order."""
-    return Or(Not(antecedent), consequent)
-
-
 def infer_vocabulary(phi: Formula) -> Vocabulary:
     """The smallest vocabulary covering the formula's symbol uses."""
     relations: dict[str, int] = {}

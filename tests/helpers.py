@@ -24,9 +24,12 @@ from deplogic import (
     Team,
     Var,
     Vocabulary,
+    free_vars,
+    infer_vocabulary,
+    satisfies,
 )
 from deplogic.normalform import NormalFormSentence
-from deplogic.semantics import Assignment
+from deplogic.semantics import Assignment, enumerate_models, enumerate_teams
 
 VOC_EMPTY = Vocabulary()
 VOC_C = Vocabulary(constants={"c"})
@@ -152,6 +155,27 @@ def random_normal_form(rng: random.Random, voc: Vocabulary = VOC_R1C) -> NormalF
     while not _quantifier_free(matrix):
         matrix = random_fo_formula(rng, voc, variables, depth=2)
     return NormalFormSentence(universals, existentials, tuple(atoms), matrix)
+
+
+def entails_on_small_models(
+    premises: list[Formula], conclusion: Formula, max_size: int = 2
+) -> bool:
+    """Whether every team that satisfies all the premises satisfies the
+    conclusion, in every model of size at most max_size over the symbols the
+    formulas use; teams range over all their free variables."""
+    formulas = [*premises, conclusion]
+    voc = Vocabulary()
+    for phi in formulas:
+        voc = voc.merged(infer_vocabulary(phi))
+    variables = frozenset().union(*map(free_vars, formulas))
+    for size in range(1, max_size + 1):
+        for m in enumerate_models(voc, size):
+            for team in enumerate_teams(size, variables):
+                if all(satisfies(m, team, p) for p in premises) and not satisfies(
+                    m, team, conclusion
+                ):
+                    return False
+    return True
 
 
 def _quantifier_free(phi: Formula) -> bool:

@@ -5,6 +5,7 @@ of any bracketing."""
 import pytest
 
 from deplogic import (
+    RULES,
     Proof,
     ProofStep,
     Vocabulary,
@@ -14,7 +15,7 @@ from deplogic import (
     parse_proof,
 )
 
-from helpers import EXAMPLE3_TEXT, VOC_C
+from helpers import EXAMPLE3_TEXT, VOC_C, entails_on_small_models
 
 EXAMPLE3_FLAT_TEXT = "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))"
 VOC_PQR = Vocabulary(relations={"P": 1, "Q": 1, "R": 1, "S": 1})
@@ -158,3 +159,219 @@ class TestDepDistribute:
         )
         report = check_proof(one_step_proof(premise, conclusion, "dep_distribute"), [premise])
         assert report.accepted == accepted, report.failures
+
+
+# ---------------------------------------------------------------------------
+# Per-rule corpus: for every rule an accepted and a rejected script, one
+# violation of each of Conditions 1-4, and wrong premise and discharge
+# counts for a rule of each shape (1/0, 2/1, 3/2).  Each case names the steps
+# the checker must reject; the rule under test is the script's last step.
+
+VOC_RULES = Vocabulary(
+    relations={"P": 1, "Q": 1, "R": 2}, functions={"f": 1}, constants={"c", "d"}
+)
+
+OR_E_STEPS = (
+    "1. P(c) | Q(d) assume",
+    "2. P(c) assume",
+    "3. Q(d) | P(c) or_i_r 2",
+    "4. Q(d) assume",
+    "5. Q(d) | P(c) or_i_l 4",
+)
+EXISTS_E_STEPS = ("1. exists x. P(x) assume", "2. P(x) assume", "3. exists y. P(y) exists_i 2")
+NEG_I_STEPS = ("1. P(c) assume", "2. ~P(c) assume", "3. P(c) & ~P(c) and_i 1 2")
+DISJ_SUBST_STEPS = ("1. P(c) | Q(d) assume", "2. Q(d) assume", "3. exists x. Q(x) exists_i 2")
+DEP_DISTRIBUTE_PREMISE = "(exists y. (dep(x,y) & P(y))) | (exists w. (dep(x,w) & Q(w)))"
+RULE8_PREMISE = "forall x. exists y. (dep(x,y) & R(x,y))"
+
+# (rule, case, script lines, hypotheses, rejected steps)
+RULE_CORPUS = [
+    ("assume", "accepted", ("1. P(c) assume",), ["P(c)"], set()),
+    ("assume", "rejected", ("1. P(c) assume",), [], {1}),
+    ("and_i", "accepted", ("1. P(c) assume", "2. Q(d) assume", "3. P(c) & Q(d) and_i 1 2"),
+     ["P(c)", "Q(d)"], set()),
+    ("and_i", "rejected", ("1. P(c) assume", "2. Q(d) assume", "3. Q(d) & P(c) and_i 1 2"),
+     ["P(c)", "Q(d)"], {3}),
+    ("and_e_l", "accepted", ("1. P(c) & Q(d) assume", "2. P(c) and_e_l 1"), ["P(c) & Q(d)"], set()),
+    ("and_e_l", "rejected", ("1. P(c) & Q(d) assume", "2. Q(d) and_e_l 1"), ["P(c) & Q(d)"], {2}),
+    ("and_e_l", "two premises", ("1. P(c) & Q(d) assume", "2. P(c) and_e_l 1 1"),
+     ["P(c) & Q(d)"], {2}),
+    ("and_e_l", "one discharge", ("1. P(c) & Q(d) assume", "2. P(c) and_e_l 1 discharge 1"),
+     [], {2}),
+    ("and_e_r", "accepted", ("1. P(c) & Q(d) assume", "2. Q(d) and_e_r 1"), ["P(c) & Q(d)"], set()),
+    ("and_e_r", "rejected", ("1. P(c) & Q(d) assume", "2. P(c) and_e_r 1"), ["P(c) & Q(d)"], {2}),
+    ("or_i_l", "accepted", ("1. P(c) assume", "2. P(c) | Q(d) or_i_l 1"), ["P(c)"], set()),
+    ("or_i_l", "rejected", ("1. P(c) assume", "2. Q(d) | P(c) or_i_l 1"), ["P(c)"], {2}),
+    ("or_i_r", "accepted", ("1. P(c) assume", "2. Q(d) | P(c) or_i_r 1"), ["P(c)"], set()),
+    ("or_i_r", "rejected", ("1. P(c) assume", "2. P(c) | Q(d) or_i_r 1"), ["P(c)"], {2}),
+    ("or_e", "accepted", OR_E_STEPS + ("6. Q(d) | P(c) or_e 1 3 5 discharge 2 4",),
+     ["P(c) | Q(d)"], set()),
+    ("or_e", "rejected", OR_E_STEPS + ("6. Q(d) | P(c) or_e 1 3 5 discharge 4 2",),
+     ["P(c) | Q(d)"], {6}),
+    ("or_e", "two premises", OR_E_STEPS + ("6. Q(d) | P(c) or_e 1 3 discharge 2 4",),
+     ["P(c) | Q(d)"], {6}),
+    ("or_e", "one discharge", OR_E_STEPS + ("6. Q(d) | P(c) or_e 1 3 5 discharge 2",),
+     ["P(c) | Q(d)"], {4, 6}),
+    ("or_e", "condition 1",
+     ("1. P(x) | Q(x) assume", "2. P(x) assume", "3. dep(x) assume", "4. Q(x) assume",
+      "5. dep(x) or_e 1 3 3 discharge 2 4"),
+     ["P(x) | Q(x)", "dep(x)"], {5}),
+    ("neg_i", "accepted", NEG_I_STEPS + ("4. ~P(c) neg_i 3 discharge 1",), ["~P(c)"], set()),
+    ("neg_i", "rejected", NEG_I_STEPS + ("4. P(c) neg_i 3 discharge 1",), ["~P(c)"], {4}),
+    ("neg_i", "condition 2",
+     ("1. dep(x) assume", "2. P(c) assume", "3. ~P(c) assume", "4. P(c) & ~P(c) and_i 2 3",
+      "5. P(c) neg_i 4 discharge 1"),
+     ["P(c)", "~P(c)"], {5}),
+    ("neg_e", "accepted", ("1. ~~P(c) assume", "2. P(c) neg_e 1"), ["~~P(c)"], set()),
+    ("neg_e", "rejected", ("1. ~~P(c) assume", "2. ~P(c) neg_e 1"), ["~~P(c)"], {2}),
+    ("forall_i", "accepted", ("1. x = x identity", "2. forall x. x = x forall_i 1"), [], set()),
+    ("forall_i", "rejected", ("1. x = x identity", "2. forall y. y = y forall_i 1"), [], {2}),
+    ("forall_i", "condition 3", ("1. P(x) assume", "2. forall x. P(x) forall_i 1"), ["P(x)"], {2}),
+    ("forall_e", "accepted", ("1. forall x. R(x,c) assume", "2. R(f(d),c) forall_e 1"),
+     ["forall x. R(x,c)"], set()),
+    ("forall_e", "rejected", ("1. forall x. R(x,c) assume", "2. R(d,d) forall_e 1"),
+     ["forall x. R(x,c)"], {2}),
+    ("exists_i", "accepted", ("1. R(c,d) assume", "2. exists x. R(x,d) exists_i 1"), ["R(c,d)"], set()),
+    ("exists_i", "rejected", ("1. R(c,d) assume", "2. exists x. R(x,x) exists_i 1"), ["R(c,d)"], {2}),
+    ("exists_e", "accepted", EXISTS_E_STEPS + ("4. exists y. P(y) exists_e 1 3 discharge 2",),
+     ["exists x. P(x)"], set()),
+    ("exists_e", "rejected",
+     ("1. exists x. P(x) assume", "2. Q(x) assume", "3. exists y. Q(y) exists_i 2",
+      "4. exists y. Q(y) exists_e 1 3 discharge 2"),
+     ["exists x. P(x)"], {4}),
+    ("exists_e", "one premise", EXISTS_E_STEPS + ("4. exists y. P(y) exists_e 1 discharge 2",),
+     ["exists x. P(x)"], {4}),
+    ("exists_e", "no discharge", EXISTS_E_STEPS + ("4. exists y. P(y) exists_e 1 3",),
+     ["exists x. P(x)"], {2, 4}),
+    ("exists_e", "condition 4",
+     ("1. exists x. P(x) assume", "2. P(x) assume", "3. Q(x) assume", "4. P(x) & Q(x) and_i 2 3",
+      "5. exists y. (P(y) & Q(y)) exists_i 4", "6. exists y. (P(y) & Q(y)) exists_e 1 5 discharge 2"),
+     ["exists x. P(x)", "Q(x)"], {6}),
+    ("disj_subst", "accepted", DISJ_SUBST_STEPS + ("4. P(c) | exists x. Q(x) disj_subst 1 3 discharge 2",),
+     ["P(c) | Q(d)"], set()),
+    ("disj_subst", "rejected",
+     DISJ_SUBST_STEPS + ("4. (exists x. Q(x)) | P(c) disj_subst 1 3 discharge 2",),
+     ["P(c) | Q(d)"], {4}),
+    ("disj_comm", "accepted", ("1. P(c) | Q(d) assume", "2. Q(d) | P(c) disj_comm 1"),
+     ["P(c) | Q(d)"], set()),
+    ("disj_comm", "rejected", ("1. P(c) | Q(d) assume", "2. P(c) | Q(d) disj_comm 1"),
+     ["P(c) | Q(d)"], {2}),
+    ("disj_assoc", "accepted", ("1. (P(c) | Q(d)) | P(d) assume", "2. P(c) | (Q(d) | P(d)) disj_assoc 1"),
+     ["(P(c) | Q(d)) | P(d)"], set()),
+    ("disj_assoc", "rejected", ("1. (P(c) | Q(d)) | P(d) assume", "2. (P(c) | Q(d)) | P(d) disj_assoc 1"),
+     ["(P(c) | Q(d)) | P(d)"], {2}),
+    ("scope_forall", "accepted",
+     ("1. (forall x. P(x)) | Q(c) assume", "2. forall x. (P(x) | Q(c)) scope_forall 1"),
+     ["(forall x. P(x)) | Q(c)"], set()),
+    ("scope_forall", "rejected",
+     ("1. (forall x. P(x)) | Q(x) assume", "2. forall x. (P(x) | Q(x)) scope_forall 1"),
+     ["(forall x. P(x)) | Q(x)"], {2}),
+    ("scope_exists", "accepted",
+     ("1. (exists x. P(x)) | Q(c) assume", "2. exists x. (P(x) | Q(c)) scope_exists 1"),
+     ["(exists x. P(x)) | Q(c)"], set()),
+    ("scope_exists", "rejected",
+     ("1. (exists x. P(x)) | Q(c) assume", "2. forall x. (P(x) | Q(c)) scope_exists 1"),
+     ["(exists x. P(x)) | Q(c)"], {2}),
+    ("unnest", "accepted", ("1. dep(f(x), y) assume", "2. exists z. (dep(z, y) & z = f(x)) unnest 1"),
+     ["dep(f(x), y)"], set()),
+    ("unnest", "rejected", ("1. dep(f(x), y) assume", "2. exists z. (dep(z, y) & z = x) unnest 1"),
+     ["dep(f(x), y)"], {2}),
+    ("dep_distribute", "accepted",
+     (f"1. {DEP_DISTRIBUTE_PREMISE} assume",
+      "2. exists y. exists w. (dep(x,y) & dep(x,w) & (P(y) | Q(w))) dep_distribute 1"),
+     [DEP_DISTRIBUTE_PREMISE], set()),
+    ("dep_distribute", "rejected",
+     (f"1. {DEP_DISTRIBUTE_PREMISE} assume",
+      "2. exists y. exists w. (dep(x,y) & dep(w) & (P(y) | Q(w))) dep_distribute 1"),
+     [DEP_DISTRIBUTE_PREMISE], {2}),
+    ("dep_intro", "accepted",
+     ("1. exists x. forall y. (R(x,y) | P(z)) assume",
+      "2. forall y. exists x. (dep(z,x) & (R(x,y) | P(z))) dep_intro 1"),
+     ["exists x. forall y. (R(x,y) | P(z))"], set()),
+    ("dep_intro", "context in any order",
+     ("1. exists x. forall y. (R(x,u) & R(y,v)) assume",
+      "2. forall y. exists x. (dep(v,u,x) & R(x,u) & R(y,v)) dep_intro 1"),
+     ["exists x. forall y. (R(x,u) & R(y,v))"], set()),
+    ("dep_intro", "rejected",
+     ("1. exists x. forall y. (R(x,y) | P(z)) assume",
+      "2. forall y. exists x. (dep(y,x) & (R(x,y) | P(z))) dep_intro 1"),
+     ["exists x. forall y. (R(x,y) | P(z))"], {2}),
+    ("dep_intro", "premise shape",
+     ("1. forall y. exists x. R(x,y) assume",
+      "2. forall y. exists x. (dep(x) & R(x,y)) dep_intro 1"),
+     ["forall y. exists x. R(x,y)"], {2}),
+    ("dep_elim", "accepted",
+     (f"1. {RULE8_PREMISE} assume",
+      "2. forall u. exists v. (R(u,v) & forall w. exists z. (R(w,z) & (~(u = w) | v = z))) dep_elim 1"),
+     [RULE8_PREMISE], set()),
+    ("dep_elim", "rejected",
+     (f"1. {RULE8_PREMISE} assume",
+      "2. forall u. exists v. (R(u,v) & forall w. exists z. R(w,z)) dep_elim 1"),
+     [RULE8_PREMISE], {2}),
+    ("identity", "reflexivity", ("1. f(c) = f(c) identity",), [], set()),
+    ("identity", "symmetry", ("1. c = d assume", "2. d = c identity 1"), ["c = d"], set()),
+    ("identity", "transitivity", ("1. c = d assume", "2. d = f(c) assume", "3. c = f(c) identity 1 2"),
+     ["c = d", "d = f(c)"], set()),
+    ("identity", "congruence", ("1. c = d assume", "2. R(c,c) assume", "3. R(d,c) identity 1 2"),
+     ["c = d", "R(c,c)"], set()),
+    ("identity", "rejected", ("1. c = d assume", "2. P(c) assume", "3. Q(d) identity 1 2"),
+     ["c = d", "P(c)"], {3}),
+    # The identity axioms discharge nothing; both scripts were accepted
+    # with no hypotheses when only a zero-premise step's discharges counted.
+    ("identity", "symmetry discharging its premise",
+     ("1. c = d assume", "2. d = c identity 1 discharge 1"), [], {2}),
+    ("identity", "congruence discharging its premises",
+     ("1. c = d assume", "2. P(c) assume", "3. P(d) identity 1 2 discharge 1 2"), [], {3}),
+]
+
+
+def corpus_params(cases):
+    return [
+        pytest.param(rule, "\n".join(lines) + "\n", hyps, rejected, id=f"{rule}-{case}")
+        for rule, case, lines, hyps, rejected in cases
+    ]
+
+
+@pytest.mark.parametrize("rule, script, hypotheses, rejected", corpus_params(RULE_CORPUS))
+def test_rule_corpus(rule, script, hypotheses, rejected):
+    proof = parse_proof(script, VOC_RULES)
+    assert proof.steps[-1].rule == rule
+    report = check_proof(proof, [parse_formula(h, VOC_RULES) for h in hypotheses])
+    assert {i for i, _ in report.failures} == rejected, report.failures
+
+
+def test_corpus_covers_every_rule():
+    accepted = {rule for rule, _, _, _, rejected in RULE_CORPUS if not rejected}
+    rejected = {rule for rule, _, _, _, rejected in RULE_CORPUS if rejected}
+    assert accepted == rejected == RULES
+
+
+# Rules whose instances are inferences from their premises alone: `assume`
+# has none, and or_e, neg_i, exists_e, disj_subst and forall_i discharge an
+# assumption or carry an eigenvariable condition.
+NOT_LOCAL = {"assume", "or_e", "neg_i", "exists_e", "disj_subst", "forall_i"}
+
+
+@pytest.mark.parametrize(
+    "rule, script, hypotheses, rejected",
+    corpus_params(c for c in RULE_CORPUS if not c[4] and c[0] not in NOT_LOCAL),
+)
+def test_accepted_rule_instance_is_sound(rule, script, hypotheses, rejected):
+    proof = parse_proof(script, VOC_RULES)
+    step = proof.steps[-1]
+    premises = [proof.step(i).formula for i in step.premises]
+    assert entails_on_small_models(premises, step.formula, max_size=2)
+
+
+@pytest.mark.parametrize(
+    "premises, conclusion",
+    [
+        (["P(c)"], "Q(c)"),
+        (["forall y. exists x. R(x,y)"], "exists x. forall y. R(x,y)"),
+        ([], "dep(x)"),
+        (["exists x. R(x,y)"], "exists x. (dep(x) & R(x,y))"),
+    ],
+)
+def test_entailment_check_finds_counterexamples(premises, conclusion):
+    parse = lambda text: parse_formula(text, VOC_RULES)
+    assert not entails_on_small_models([parse(p) for p in premises], parse(conclusion))
