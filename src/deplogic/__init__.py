@@ -80,7 +80,6 @@ from .proofs import (
     apply_rule7,
     apply_rule8,
     check_proof,
-    check_step,
 )
 from .surface import (
     format_model,

@@ -206,20 +206,6 @@ def _analyze(proof: Proof) -> _Analysis:
     return _Analysis(deps, discharged_at, structural)
 
 
-def _structural_for(analysis: _Analysis, index: int) -> list[Diagnostic]:
-    return [d for i, d in analysis.structural if i == index]
-
-
-def check_step(proof: Proof, index: int) -> list[Diagnostic]:
-    """Diagnostics for a single step (empty list means the step is fine)."""
-    analysis = _analyze(proof)
-    step = proof.step(index)
-    problems = _structural_for(analysis, index)
-    if problems:
-        return problems
-    return [_err(m) for m in _check_rule(proof, step, analysis)]
-
-
 def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
     """Check every step and the final set of open assumptions."""
     analysis = _analyze(proof)

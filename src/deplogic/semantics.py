@@ -1,9 +1,13 @@
 """Team semantics over finite models.
 
-Evaluation is brute force: disjunction enumerates complementary splits of
-the team (sound by downward closure), existential quantification enumerates
-supplement functions row by row.  A budget caps the number of candidates
-tried; exceeding it raises BudgetExceededError rather than guessing.
+`satisfies` is the reference: a brute-force team search in which
+disjunction enumerates complementary splits of the team (sound by downward
+closure) and existential quantification enumerates supplement functions
+row by row.  `sentence_true` decides a sentence that is not first-order
+through its normal form instead, by filling one table per dependence atom
+(the Skolem reading of the normal form).  A budget caps the number of
+candidates either search tries; exceeding it raises BudgetExceededError
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
+from .normalform import NormalFormSentence, to_normal_form
 from .syntax import (
     And,
     Apply,
@@ -192,7 +197,10 @@ DEFAULT_BUDGET_POINTS = 10_000_000
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Cap on enumerated witnesses: supplement functions and splits tried."""
+    """Cap on enumerated witnesses.  In the team search of `satisfies` a
+    point is one supplement function or one split tried; in the Skolem
+    search of `sentence_true` it is one value tried for one existential on
+    one universal tuple, a value read from a table included."""
 
     max_choice_points: int = DEFAULT_BUDGET_POINTS
 
@@ -453,12 +461,92 @@ def _sat_exists(
 def sentence_true(
     m: Model, phi: Formula, budget: Optional[SearchBudget] = None
 ) -> bool:
-    """Truth of a sentence: satisfaction by the team of the empty assignment."""
+    """Truth of a sentence: satisfaction by the team of the empty assignment.
+
+    A first-order sentence is evaluated by Tarski semantics.  Any other is
+    brought into normal form and decided by the Skolem search, which agrees
+    with `satisfies(m, EMPTY_DOMAIN_SINGLETON, phi)`.
+    """
     if not is_sentence(phi):
         raise SentenceError(
             f"formula has free variables {sorted(free_vars(phi))}"
         )
-    return satisfies(m, EMPTY_DOMAIN_SINGLETON, phi, budget)
+    if is_first_order(phi):
+        return _fo(m, Assignment(), phi)
+    return _skolem_true(m, to_normal_form(phi), _Counter(budget or SearchBudget()))
+
+
+def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
+    """Whether there are tables, one per dependence atom dep(w, y) from
+    w-values to the domain, and per-tuple choices for the other
+    existentials, under which the matrix holds on every universal tuple.
+
+    Backtracks over the slots (tuple, existential): tuples in a fixed order,
+    existentials in prefix order.  A determined existential reads its table
+    at the key given by w, or fills that entry and removes it again on
+    backtracking.  Each matrix conjunct is checked as soon as its last
+    variable is assigned.
+    """
+    xs, ys = nf.universals, nf.existentials
+    order, nx, n = xs + ys, len(xs), len(ys)
+    rank = {v: i for i, v in enumerate(order)}
+    keys = {y: tuple(rank[v] for v in w) for w, y in nf.dep_atoms}
+    key_of = [keys.get(y) for y in ys]
+    universal_checks: list[Formula] = []
+    checks: list[list[Formula]] = [[] for _ in ys]
+    for part in conjuncts(nf.matrix):
+        last = max((rank[v] for v in free_vars(part)), default=-1)
+        if last < nx:
+            universal_checks.append(part)
+        else:
+            checks[last - nx].append(part)
+    rows = list(itertools.product(range(m.size), repeat=nx))
+    # A conjunct over universals alone fails whatever the tables hold.
+    for row in rows:
+        s = Assignment(tuple(zip(xs, row)))
+        if not all(_fo(m, s, part) for part in universal_checks):
+            return False
+
+    tables: list[Optional[dict[tuple[int, ...], int]]] = [
+        None if key is None else {} for key in key_of
+    ]
+    chosen = [0] * (len(rows) * n)
+    filled: list[Optional[tuple[int, ...]]] = [None] * len(chosen)
+    values = [0] * len(order)
+    p, start = 0, 0
+    while 0 <= p < len(chosen):
+        r, j = divmod(p, n)
+        values[:nx] = rows[r]
+        values[nx : nx + j] = chosen[p - j : p]
+        table, key, due = tables[j], None, checks[j]
+        candidates = range(start, m.size)
+        if table is not None:
+            key = tuple(values[i] for i in key_of[j])
+            if key in table:
+                # Fixed by an earlier slot: one candidate, tried once.
+                fixed = table[key]
+                candidates = range(fixed, fixed + 1) if start == 0 else range(0)
+        for a in candidates:
+            counter.spend()
+            values[nx + j] = a
+            if due:
+                s = Assignment(tuple(zip(order, values[: nx + j + 1])))
+                if not all(_fo(m, s, part) for part in due):
+                    continue
+            chosen[p] = a
+            if table is not None and key not in table:
+                table[key] = a
+                filled[p] = key
+            p, start = p + 1, 0
+            break
+        else:
+            p -= 1
+            if p >= 0:
+                if filled[p] is not None:
+                    del tables[p % n][filled[p]]
+                    filled[p] = None
+                start = chosen[p] + 1
+    return p == len(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for team-semantics evaluation: examples from the operation
 contracts, frozen by hand enumeration where derived."""
 
+import random
+
 import pytest
 
 from deplogic import (
@@ -32,16 +34,28 @@ from deplogic import (
     sentence_true,
     supplement,
 )
+from deplogic.normalform import reassemble
 from deplogic.semantics import (
+    EMPTY_DOMAIN_SINGLETON,
     Assignment,
     FreeVariableError,
     NotFirstOrderError,
     SentenceError,
     TeamError,
     UnboundVariableError,
+    enumerate_models,
 )
 
-from helpers import THETA1_TEXT, EXAMPLE3_TEXT, VOC_C
+from helpers import (
+    CORPUS,
+    EXAMPLE3_TEXT,
+    SMALL_BUDGET,
+    THETA1_TEXT,
+    VOC_C,
+    VOC_R1C,
+    random_model,
+    random_normal_form,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 EXAMPLE3_FLAT_TEXT = "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))"
@@ -228,18 +242,78 @@ class TestBudget:
 
     def test_bracket_free_example3_is_pruned(self):
         # The bracket-free spelling nests its conjunction to the left; the
-        # first-order conjuncts still prune the witness search.
+        # first-order conjuncts still prune the team search.
         flat = parse_formula(EXAMPLE3_FLAT_TEXT, VOC_C)
         m = Model(3, constants={"c": 0})
-        assert not sentence_true(m, flat, SearchBudget(35))
+        assert not satisfies(m, EMPTY_DOMAIN_SINGLETON, flat, SearchBudget(35))
 
     def test_both_spellings_need_the_same_choice_points(self):
         m = Model(3, constants={"c": 0})
         for text in (EXAMPLE3_TEXT, EXAMPLE3_FLAT_TEXT):
             phi = parse_formula(text, VOC_C)
-            assert not sentence_true(m, phi, SearchBudget(35))
+            assert not satisfies(m, EMPTY_DOMAIN_SINGLETON, phi, SearchBudget(35))
             with pytest.raises(BudgetExceededError):
-                sentence_true(m, phi, SearchBudget(34))
+                satisfies(m, EMPTY_DOMAIN_SINGLETON, phi, SearchBudget(34))
+
+    def test_both_spellings_need_the_same_skolem_points(self):
+        # 33 values tried at size 3, table lookups included: the spellings
+        # share one normal form, so the Skolem search runs the same way.
+        m = Model(3, constants={"c": 0})
+        for text in (EXAMPLE3_TEXT, EXAMPLE3_FLAT_TEXT):
+            phi = parse_formula(text, VOC_C)
+            assert not sentence_true(m, phi, SearchBudget(33))
+            with pytest.raises(BudgetExceededError):
+                sentence_true(m, phi, SearchBudget(32))
+
+    def test_first_order_sentence_spends_no_budget(self):
+        phi = parse_formula("forall x. exists y. ~(x = y)", VOC_C)
+        assert sentence_true(Model(3, constants={"c": 0}), phi, SearchBudget(1))
+
+
+class TestSkolemSearch:
+    """`sentence_true` against the team search of `satisfies`, the reference."""
+
+    @staticmethod
+    def agree(m, phi):
+        try:
+            expected = satisfies(m, EMPTY_DOMAIN_SINGLETON, phi, SMALL_BUDGET)
+        except BudgetExceededError:
+            return False
+        assert sentence_true(m, phi) == expected
+        return True
+
+    @pytest.mark.parametrize("name, text, voc", CORPUS, ids=[c[0] for c in CORPUS])
+    def test_corpus_agrees_with_team_search(self, name, text, voc):
+        phi = parse_formula(text, voc)
+        for size in (1, 2, 3):
+            for m in enumerate_models(voc, size):
+                assert self.agree(m, phi)
+
+    def test_random_normal_forms_agree_with_team_search(self):
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(400):
+            nf = random_normal_form(rng)
+            m = random_model(rng, VOC_R1C, rng.randint(1, 3))
+            checked += self.agree(m, reassemble(nf))
+        assert checked >= 390
+
+    def test_table_keyed_by_earlier_existential(self):
+        # forall x. exists y. exists z. (dep(y, z) & z = x): z must be a
+        # function of y, so y must tell the universal tuples apart.
+        phi = parse_formula("forall x. exists y. exists z. (dep(y, z) & z = x)", VOC_C)
+        assert sentence_true(Model(3, constants={"c": 0}), phi)
+        constant = parse_formula("forall x. exists y. exists z. (dep(y, z) & z = x & y = c)", VOC_C)
+        assert not sentence_true(Model(3, constants={"c": 0}), constant)
+
+    def test_deep_universal_block_needs_no_recursion(self):
+        # 4**6 = 4096 universal tuples, one slot each: a search recursing
+        # once per slot would pass the interpreter's recursion limit.
+        variables = [f"x{i}" for i in range(6)]
+        phi = Exists("y", And(Dep((Var("y"),)), Eq(Var("y"), Var("y"))))
+        for v in reversed(variables):
+            phi = Forall(v, phi)
+        assert sentence_true(Model(4), phi)
 
 
 class TestEquivOracle:

@@ -1,5 +1,6 @@
 """Property tests for the semantic invariants: downward closure, locality,
-flatness, empty-team truth, and the substitution lemma.
+flatness, empty-team truth, the substitution lemma, and the agreement of a
+normal form with its approximation of k**m rounds.
 
 Hypothesis drives shrinking here; seeded random checks with fixed instance
 counts sit in the test module of the layer they check.
@@ -16,15 +17,18 @@ from deplogic import (
     SearchBudget,
     Team,
     Var,
+    build_approximation,
     eval_term,
     fo_satisfies,
     free_vars,
     is_first_order,
     restrict,
     satisfies,
+    sentence_true,
     substitute,
     supplement,
 )
+from deplogic.normalform import reassemble
 
 from helpers import (
     SMALL_BUDGET,
@@ -32,6 +36,7 @@ from helpers import (
     random_formula,
     random_fo_formula,
     random_model,
+    random_normal_form,
     random_team,
 )
 
@@ -124,3 +129,19 @@ def test_budget_monotone(instance):
     except BudgetExceededError:
         return
     assert satisfies(model, team, phi, SearchBudget(2_000_000)) == small
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_normal_form_equals_its_full_unrolling(seed):
+    # On a model of size k, a normal form with m universals and its
+    # approximation of k**m rounds agree: each round lets the universal
+    # player pick one more tuple, and after k**m rounds the guards make the
+    # existential answers total tables that satisfy the dependence atoms.
+    rng = random.Random(seed)
+    nf = random_normal_form(rng)
+    m = len(nf.universals)
+    k = rng.randint(1, 2 if m == 2 else 4)
+    model = random_model(rng, VOC_R1C, k)
+    assert k**m <= 4
+    phi_n = build_approximation(nf, k**m)
+    assert sentence_true(model, reassemble(nf)) == sentence_true(model, phi_n)
