@@ -12,10 +12,6 @@ class SourceText:
     text: str
     origin: str = "<inline>"
 
-    @staticmethod
-    def inline(text: str) -> "SourceText":
-        return SourceText(text, "<inline>")
-
 
 @dataclass(frozen=True)
 class Span:
@@ -28,13 +24,12 @@ class Span:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
     message: str
     span: Optional[Span] = None
 
     def __str__(self) -> str:
         where = f"{self.span.line}:{self.span.col_start}: " if self.span else ""
-        return f"{where}{self.severity}: {self.message}"
+        return f"{where}{self.message}"
 
 
 class ParseError(Exception):
@@ -43,7 +38,3 @@ class ParseError(Exception):
     def __init__(self, diagnostic: Diagnostic) -> None:
         super().__init__(str(diagnostic))
         self.diagnostic = diagnostic
-
-
-def error_at(message: str, line: int, col_start: int, col_end: int) -> ParseError:
-    return ParseError(Diagnostic("error", message, Span(line, col_start, col_end)))

@@ -132,10 +132,6 @@ class _Analysis:
     structural: list[tuple[int, Diagnostic]]
 
 
-def _err(msg: str) -> Diagnostic:
-    return Diagnostic("error", msg)
-
-
 def _analyze(proof: Proof) -> _Analysis:
     position = proof._position
     deps: dict[int, frozenset[int]] = {}
@@ -153,7 +149,7 @@ def _analyze(proof: Proof) -> _Analysis:
             problems.append("assumptions take no premises and discharge nothing")
         if problems:
             for p in problems:
-                structural.append((step.index, _err(p)))
+                structural.append((step.index, Diagnostic(p)))
             deps[step.index] = frozenset()
             continue
 
@@ -169,7 +165,7 @@ def _analyze(proof: Proof) -> _Analysis:
                     structural.append(
                         (
                             step.index,
-                            _err(
+                            Diagnostic(
                                 f"premise {ref} relies on assumption {assumption}, "
                                 f"already discharged at step {closer}"
                             ),
@@ -182,7 +178,7 @@ def _analyze(proof: Proof) -> _Analysis:
             target = proof.step(d)
             if target.rule != "assume":
                 structural.append(
-                    (step.index, _err(f"step {d} is not an assumption"))
+                    (step.index, Diagnostic(f"step {d} is not an assumption"))
                 )
                 continue
             if d in discharged_at:
@@ -190,7 +186,7 @@ def _analyze(proof: Proof) -> _Analysis:
                 structural.append(
                     (
                         step.index,
-                        _err(
+                        Diagnostic(
                             f"the step discharges assumption {d} twice"
                             if closer == step.index
                             else f"assumption {d} was already discharged at step {closer}"
@@ -215,7 +211,7 @@ def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
         if step.index in bad_structurally:
             continue
         for message in _check_rule(proof, step, analysis):
-            failures.append((step.index, _err(message)))
+            failures.append((step.index, Diagnostic(message)))
 
     hypotheses = {alpha_key(h) for h in allowed_open}
     for step in proof.steps:
@@ -225,7 +221,7 @@ def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
             failures.append(
                 (
                     step.index,
-                    _err("assumption is still open and not among the hypotheses"),
+                    Diagnostic("assumption is still open and not among the hypotheses"),
                 )
             )
 

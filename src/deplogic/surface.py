@@ -1,19 +1,21 @@
 """Concrete syntax: formulas, models, teams, vocabularies, and proof scripts.
 
-All formats are line-oriented text; `#` starts a comment.  The formula
-grammar is parsed with the vocabulary in hand, so identifiers are
-classified as relations, functions, constants, or variables at parse time.
-Printing is canonical: parse(print(ast)) is structurally identical to ast.
+All formats are line-oriented text; `#` starts a comment.  One tokenizer
+reads every format, and one cursor over its tokens reads every grammar, so
+each error points at the token where reading stopped.  The formula grammar
+is parsed with the vocabulary in hand, so identifiers are classified as
+relations, functions, constants, or variables at parse time.  Printing is
+canonical: parse(print(ast)) is structurally identical to ast.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterator, NamedTuple, TypeVar, Union
 
-from .diagnostics import Diagnostic, ParseError, SourceText, Span, error_at
+from .diagnostics import Diagnostic, ParseError, SourceText, Span
 from .syntax import (
+    EMPTY_VOCABULARY,
     And,
     Apply,
     Const,
@@ -33,133 +35,189 @@ from .syntax import (
 from .semantics import Assignment, Model, Team
 from .proofs import Proof, ProofStep, RULES
 
-_KEYWORDS = frozenset({"forall", "exists", "dep"})
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_UNICODE_ALIASES = {"∀": "forall", "∃": "exists", "∧": "&", "∨": "|", "¬": "~"}
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT INT ( ) , . = & | ~ EOF
+# Whitespace matches no alternative, so `finditer` skips it without making
+# tokens; `\S` catches every character that no format uses.
+_TOKEN = re.compile(
+    r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|->|[(){}\[\],./=&|~∀∃∧∨¬]"
+    r"|(?P<COMMENT>#)|(?P<BAD>\S)"
+)
+# Token kinds that differ from the token's text and from its group's name.
+_KINDS = {
+    "forall": "forall", "exists": "exists", "dep": "dep",
+    "∀": "forall", "∃": "exists", "∧": "&", "∨": "|", "¬": "~",
+}
+_KEYWORDS = ("forall", "exists", "dep")
+_ENDS = {"NL": "end of line", "EOF": "end of input"}
+
+
+class _Token(NamedTuple):
+    kind: str  # INT IDENT forall exists dep ( ) { } [ ] , . / = & | ~ -> NL EOF
     value: str
     line: int
     col: int
 
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, self.col + max(1, len(self.value)))
+    def __str__(self) -> str:
+        return _ENDS.get(self.kind) or repr(self.value)
+
+    def error(self, message: str) -> ParseError:
+        end = self.col + max(1, len(self.value))
+        return ParseError(Diagnostic(message, Span(self.line, self.col, end)))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for line_no, line in enumerate(text.splitlines() or [""], start=1):
-        i = 0
-        limit = len(line)
-        while i < limit:
-            ch = line[i]
-            if ch == "#":
+def _tokenize(src: Union[SourceText, str]) -> Iterator[list[_Token]]:
+    """For each line that holds a token: its tokens, then an NL token where
+    its text ends.  Last, an EOF token at the end of the last line.  Lines
+    are read as they are asked for, so only one is held at a time."""
+    text = src.text if isinstance(src, SourceText) else src
+    lines = text.splitlines() or [""]
+    for line_no, line in enumerate(lines, start=1):
+        tokens: list[_Token] = []
+        end = len(line)
+        for m in _TOKEN.finditer(line):
+            kind, value = m.lastgroup, m.group()
+            if kind == "COMMENT":
+                end = m.start()
                 break
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _UNICODE_ALIASES:
-                alias = _UNICODE_ALIASES[ch]
-                kind = "IDENT" if alias.isalpha() else alias
-                tokens.append(_Token(kind, alias, line_no, i))
-                i += 1
-                continue
-            if ch in "(),.=&|~":
-                tokens.append(_Token(ch, ch, line_no, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                m = re.match(r"\d+", line[i:])
-                assert m
-                tokens.append(_Token("INT", m.group(), line_no, i))
-                i += len(m.group())
-                continue
-            m = _IDENT_RE.match(line, i)
-            if m:
-                tokens.append(_Token("IDENT", m.group(), line_no, i))
-                i = m.end()
-                continue
-            raise error_at(f"unexpected character {ch!r}", line_no, i, i + 1)
-    last_line = text.count("\n") + 1
-    tokens.append(_Token("EOF", "", last_line, 0))
-    return tokens
+            if kind == "BAD":
+                raise _Token(kind, value, line_no, m.start()).error(
+                    f"unexpected character {value!r}"
+                )
+            tokens.append(_Token(_KINDS.get(value, kind or value), value, line_no, m.start()))
+        if tokens:
+            tokens.append(_Token("NL", "", line_no, end))
+            yield tokens
+    yield [_Token("EOF", "", len(lines), len(lines[-1]))]
 
 
 # ---------------------------------------------------------------------------
-# Formula parsing
+# Reading tokens
 
-class _FormulaParser:
-    def __init__(self, tokens: list[_Token], voc: Vocabulary) -> None:
-        self.tokens = tokens
+class _Cursor:
+    """A position in the tokenized lines, with one reader per grammar piece."""
+
+    def __init__(
+        self, lines: Iterator[list[_Token]], voc: Vocabulary = EMPTY_VOCABULARY
+    ) -> None:
+        self.lines = lines
+        self.tokens = next(lines)
         self.pos = 0
         self.voc = voc
 
     def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok.kind == "NL":
+            self.tokens, self.pos = next(self.lines), 0
+        elif tok.kind != "EOF":
             self.pos += 1
         return tok
+
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos].kind == kind:
+            self.next()
+            return True
+        return False
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise ParseError(
-                Diagnostic("error", f"expected {what}, found {tok.value or 'end of input'!r}", tok.span)
-            )
+            raise tok.error(f"expected {what}, found {tok}")
         return tok
 
-    def fail(self, tok: _Token, message: str) -> ParseError:
-        return ParseError(Diagnostic("error", message, tok.span))
+    def name(self, what: str) -> _Token:
+        """An identifier that is not a keyword."""
+        tok = self.next()
+        if tok.kind in _KEYWORDS:
+            raise tok.error(f"{tok.value!r} is reserved")
+        if tok.kind != "IDENT":
+            raise tok.error(f"expected {what}, found {tok}")
+        return tok
 
-    # grammar ---------------------------------------------------------------
+    def items(self, close: str, item: Callable[[], _T]) -> list[_T]:
+        """`item, ..., item` up to the `close` bracket, which is consumed;
+        the opening bracket has been read.  The list may be empty, an item
+        may not."""
+        out: list[_T] = []
+        if self.accept(close):
+            return out
+        while True:
+            out.append(item())
+            tok = self.next()
+            if tok.kind == close:
+                return out
+            if tok.kind != ",":
+                raise tok.error(f"expected ',' or '{close}', found {tok}")
 
-    def parse(self) -> Formula:
-        f = self.formula()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise self.fail(tok, f"unexpected trailing input {tok.value!r}")
-        return f
+    def element(self, size: int, what: str) -> int:
+        tok = self.expect("INT", "a domain element")
+        value = int(tok.value)
+        if value >= size:
+            raise tok.error(f"{what} {value} out of domain 0..{size - 1}")
+        return value
+
+    def row(self, size: int, arity: int, what: str) -> tuple[int, ...]:
+        """`(e, ..., e)`, or one bare element."""
+        start = self.peek()
+        if self.accept("("):
+            values = tuple(self.items(")", lambda: self.element(size, what)))
+        else:
+            values = (self.element(size, what),)
+        if len(values) != arity:
+            raise start.error(f"tuple has {len(values)} entries, expected {arity}")
+        return values
+
+    def declaration(self, declared: set[str]) -> tuple[str, str, int]:
+        """`relation NAME/ARITY`, `function NAME/ARITY` or `constant NAME`;
+        the name is added to `declared`."""
+        kw = self.next()
+        if kw.value not in ("relation", "function", "constant"):
+            raise kw.error(f"expected `relation`, `function` or `constant`, found {kw}")
+        name = self.name("a symbol name")
+        if name.value in declared:
+            raise name.error(f"duplicate symbol {name.value}")
+        declared.add(name.value)
+        if kw.value == "constant":
+            return kw.value, name.value, 0
+        self.expect("/", "'/' after the symbol name")
+        arity_tok = self.expect("INT", "an arity")
+        arity = int(arity_tok.value)
+        if kw.value == "function" and arity < 1:
+            raise arity_tok.error("function arity must be positive")
+        return kw.value, name.value, arity
+
+    # formula grammar -------------------------------------------------------
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in ("forall", "exists"):
+        if self.peek().kind in ("forall", "exists"):
             return self.quantified()
         return self.disjunction()
 
     def quantified(self) -> Formula:
         kw = self.next()
-        var = self.expect("IDENT", "a variable name")
-        if var.value in _KEYWORDS:
-            raise self.fail(var, f"{var.value!r} is reserved")
+        var = self.name("a variable name")
         if self.voc.declares(var.value):
-            raise self.fail(
-                var, f"bound variable {var.value!r} collides with a declared symbol"
-            )
+            raise var.error(f"bound variable {var.value!r} collides with a declared symbol")
         self.expect(".", "'.' after the bound variable")
         body = self.formula()
-        return Forall(var.value, body) if kw.value == "forall" else Exists(var.value, body)
+        return Forall(var.value, body) if kw.kind == "forall" else Exists(var.value, body)
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek().kind == "|":
-            self.next()
+        while self.accept("|"):
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek().kind == "&":
-            self.next()
+        while self.accept("&"):
             f = And(f, self.unary())
         return f
 
@@ -171,10 +229,10 @@ class _FormulaParser:
             try:
                 return Not(body)
             except NegationScopeError:
-                raise self.fail(
-                    tok, "negation may only be applied to first-order formulas"
+                raise tok.error(
+                    "negation may only be applied to first-order formulas"
                 ) from None
-        if tok.kind == "IDENT" and tok.value in ("forall", "exists"):
+        if tok.kind in ("forall", "exists"):
             return self.quantified()
         if tok.kind == "(":
             self.next()
@@ -185,84 +243,49 @@ class _FormulaParser:
 
     def atom(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "dep" and self.peek(1).kind == "(":
-            return self.dep_atom()
-        if tok.kind == "=" and self.peek(1).kind == "(":
-            return self.dep_atom()
+        if tok.kind in ("dep", "=") and self.peek(1).kind == "(":
+            self.pos += 2
+            return Dep(tuple(self.items(")", self.term)))
         if tok.kind == "IDENT" and tok.value in self.voc.relations:
-            return self.relation_atom()
-        left = self.term()
-        eq = self.peek()
-        if eq.kind != "=":
-            raise self.fail(eq, "expected '=' after a term")
-        self.next()
-        right = self.term()
-        return Eq(left, right)
-
-    def dep_atom(self) -> Formula:
-        self.next()  # dep or =
-        self.expect("(", "'('")
-        args: list[Term] = []
-        if self.peek().kind != ")":
-            args.append(self.term())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.term())
-        self.expect(")", "')'")
-        return Dep(tuple(args))
-
-    def relation_atom(self) -> Formula:
-        name_tok = self.next()
-        arity = self.voc.relations[name_tok.value]
-        args: list[Term] = []
-        if self.peek().kind == "(":
             self.next()
-            if self.peek().kind != ")":
-                args.append(self.term())
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.term())
-            self.expect(")", "')'")
-        if len(args) != arity:
-            raise self.fail(
-                name_tok,
-                f"relation {name_tok.value} expects {arity} arguments, got {len(args)}",
-            )
-        return Rel(name_tok.value, tuple(args))
+            args = self.items(")", self.term) if self.accept("(") else []
+            arity = self.voc.relations[tok.value]
+            if len(args) != arity:
+                raise tok.error(
+                    f"relation {tok.value} expects {arity} arguments, got {len(args)}"
+                )
+            return Rel(tok.value, tuple(args))
+        left = self.term()
+        self.expect("=", "'=' after a term")
+        return Eq(left, self.term())
 
     def term(self) -> Term:
-        tok = self.expect("IDENT", "a term")
+        tok = self.name("a term")
         name = tok.value
-        if name in _KEYWORDS:
-            raise self.fail(tok, f"{name!r} is reserved")
         if name in self.voc.functions:
-            arity = self.voc.functions[name]
             self.expect("(", f"'(' after function {name}")
-            args = [self.term()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")", "')'")
+            args = self.items(")", self.term)
+            arity = self.voc.functions[name]
             if len(args) != arity:
-                raise self.fail(
-                    tok, f"function {name} expects {arity} arguments, got {len(args)}"
+                raise tok.error(
+                    f"function {name} expects {arity} arguments, got {len(args)}"
                 )
             return Apply(name, tuple(args))
         if name in self.voc.constants:
             return Const(name)
         if name in self.voc.relations:
-            raise self.fail(tok, f"relation {name} used in term position")
+            raise tok.error(f"relation {name} used in term position")
         return Var(name)
 
 
-def _as_source(src: Union[SourceText, str]) -> SourceText:
-    return src if isinstance(src, SourceText) else SourceText.inline(src)
-
-
 def parse_formula(src: Union[SourceText, str], voc: Vocabulary) -> Formula:
-    """Parse a formula; identifiers are classified against the vocabulary."""
-    source = _as_source(src)
-    return _FormulaParser(_tokenize(source.text), voc).parse()
+    """Parse a formula; identifiers are classified against the vocabulary.
+    The formula may span lines."""
+    tokens = [t for line in _tokenize(src) for t in line if t.kind != "NL"]
+    cursor = _Cursor(iter([tokens]), voc)
+    f = cursor.formula()
+    cursor.expect("EOF", "end of input")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -314,90 +337,24 @@ def print_formula(phi: Formula, unicode_symbols: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented file helpers
-
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((line_no, line))
-    return out
-
-
-def _whole_line(line_no: int, line: str) -> Span:
-    return Span(line_no, 0, max(1, len(line)))
-
-
-# ---------------------------------------------------------------------------
 # Vocabulary files
 
 def parse_vocabulary(src: Union[SourceText, str]) -> Vocabulary:
     """Declarations only: `relation R/2`, `function f/1`, `constant c`."""
-    source = _as_source(src)
-    relations: dict[str, int] = {}
-    functions: dict[str, int] = {}
-    constants: set[str] = set()
+    cursor = _Cursor(_tokenize(src))
+    arities: dict[str, dict[str, int]] = {"relation": {}, "function": {}, "constant": {}}
     declared: set[str] = set()
-    for line_no, line in _significant_lines(source.text):
-        words = line.split()
-        span = _whole_line(line_no, line)
-
-        def declare(name: str) -> None:
-            if name in declared:
-                raise ParseError(Diagnostic("error", f"duplicate symbol {name}", span))
-            declared.add(name)
-
-        if len(words) == 2 and words[0] in ("relation", "function"):
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)/(\d+)", words[1])
-            if not m:
-                raise ParseError(
-                    Diagnostic("error", f"expected NAME/ARITY, got {words[1]!r}", span)
-                )
-            name, arity = m.group(1), int(m.group(2))
-            declare(name)
-            if words[0] == "relation":
-                relations[name] = arity
-            else:
-                if arity < 1:
-                    raise ParseError(
-                        Diagnostic("error", "function arity must be positive", span)
-                    )
-                functions[name] = arity
-        elif len(words) == 2 and words[0] == "constant":
-            declare(words[1])
-            constants.add(words[1])
-        else:
-            raise ParseError(
-                Diagnostic("error", f"unrecognized declaration {line!r}", span)
-            )
-    return Vocabulary(relations, functions, frozenset(constants))
+    while cursor.peek().kind != "EOF":
+        kind, name, arity = cursor.declaration(declared)
+        arities[kind][name] = arity
+        cursor.expect("NL", "end of line")
+    return Vocabulary(
+        arities["relation"], arities["function"], frozenset(arities["constant"])
+    )
 
 
 # ---------------------------------------------------------------------------
 # Model files
-
-def _parse_int_tuple(text: str, arity: int, span: Span) -> tuple[int, ...]:
-    text = text.strip()
-    if text.startswith("("):
-        m = re.fullmatch(r"\(\s*([0-9,\s]*?)\s*\)", text)
-        if not m:
-            raise ParseError(Diagnostic("error", f"malformed tuple {text!r}", span))
-        inner = m.group(1).strip()
-        parts = [p.strip() for p in inner.split(",")] if inner else []
-    else:
-        parts = [text] if text else []
-    if any(not p.isdigit() for p in parts):
-        raise ParseError(Diagnostic("error", f"malformed tuple {text!r}", span))
-    values = tuple(int(p) for p in parts)
-    if len(values) != arity:
-        raise ParseError(
-            Diagnostic(
-                "error", f"tuple {text!r} has {len(values)} entries, expected {arity}", span
-            )
-        )
-    return values
-
 
 def parse_model(src: Union[SourceText, str]) -> tuple[Vocabulary, Model]:
     """Parse a total finite structure.
@@ -406,20 +363,17 @@ def parse_model(src: Union[SourceText, str]) -> tuple[Vocabulary, Model]:
     `relation R/<arity> = {(...), ...}`, and
     `function f/<arity> = [<args>-><val>, ...]` lines in any order.
     """
-    source = _as_source(src)
-    lines = _significant_lines(source.text)
-    if not lines:
-        raise ParseError(Diagnostic("error", "empty model file", Span(1, 0, 1)))
-    line_no, first = lines[0]
-    span = _whole_line(line_no, first)
-    m = re.fullmatch(r"domain\s+(\d+)", first)
-    if not m:
-        raise ParseError(
-            Diagnostic("error", "a model file must start with `domain <k>`", span)
-        )
-    size = int(m.group(1))
+    cursor = _Cursor(_tokenize(src))
+    head = cursor.next()
+    if head.kind == "EOF":
+        raise head.error("empty model file")
+    if head.value != "domain":
+        raise head.error("a model file must start with `domain <k>`")
+    size_tok = cursor.expect("INT", "the domain size")
+    size = int(size_tok.value)
     if size < 1:
-        raise ParseError(Diagnostic("error", "domain must be non-empty", span))
+        raise size_tok.error("domain must be non-empty")
+    cursor.expect("NL", "end of line")
 
     relations: dict[str, frozenset[tuple[int, ...]]] = {}
     rel_arities: dict[str, int] = {}
@@ -428,134 +382,43 @@ def parse_model(src: Union[SourceText, str]) -> tuple[Vocabulary, Model]:
     constants: dict[str, int] = {}
     declared: set[str] = set()
 
-    for line_no, line in lines[1:]:
-        span = _whole_line(line_no, line)
-
-        def check_new(name: str) -> None:
-            if name in declared:
-                raise ParseError(Diagnostic("error", f"duplicate symbol {name}", span))
-            declared.add(name)
-
-        def check_value(v: int, what: str) -> None:
-            if not 0 <= v < size:
-                raise ParseError(
-                    Diagnostic("error", f"{what} {v} out of domain 0..{size - 1}", span)
-                )
-
-        m = re.fullmatch(r"constant\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\d+)", line)
-        if m:
-            name, value = m.group(1), int(m.group(2))
-            check_new(name)
-            check_value(value, f"constant {name} value")
-            constants[name] = value
-            continue
-
-        m = re.fullmatch(
-            r"relation\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*=\s*\{(.*)\}", line
-        )
-        if m:
-            name, arity, body = m.group(1), int(m.group(2)), m.group(3).strip()
-            check_new(name)
-            tuples: set[tuple[int, ...]] = set()
-            if body:
-                if arity == 0:
-                    if body != "()":
-                        raise ParseError(
-                            Diagnostic(
-                                "error",
-                                "a 0-ary relation holds either {} or {()}",
-                                span,
-                            )
-                        )
-                    tuples.add(())
-                else:
-                    for part in _split_tuple_list(body, span):
-                        values = _parse_int_tuple(part, arity, span)
-                        for v in values:
-                            check_value(v, f"relation {name} entry")
-                        tuples.add(values)
-            relations[name] = frozenset(tuples)
+    while cursor.peek().kind != "EOF":
+        kind, name, arity = cursor.declaration(declared)
+        cursor.expect("=", "'='")
+        if kind == "constant":
+            constants[name] = cursor.element(size, f"constant {name} value")
+        elif kind == "relation":
+            cursor.expect("{", "'{'")
+            entry = f"relation {name} entry"
+            rows = cursor.items("}", lambda: cursor.row(size, arity, entry))
+            relations[name] = frozenset(rows)
             rel_arities[name] = arity
-            continue
-
-        m = re.fullmatch(
-            r"function\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*=\s*\[(.*)\]", line
-        )
-        if m:
-            name, arity, body = m.group(1), int(m.group(2)), m.group(3).strip()
-            check_new(name)
-            if arity < 1:
-                raise ParseError(
-                    Diagnostic("error", "function arity must be positive", span)
-                )
+        else:
             table: dict[tuple[int, ...], int] = {}
-            if body:
-                for part in _split_tuple_list(body, span):
-                    if "->" not in part:
-                        raise ParseError(
-                            Diagnostic("error", f"expected args->value in {part!r}", span)
-                        )
-                    args_text, _, value_text = part.rpartition("->")
-                    args = _parse_int_tuple(args_text, arity, span)
-                    if not value_text.strip().isdigit():
-                        raise ParseError(
-                            Diagnostic("error", f"malformed value in {part!r}", span)
-                        )
-                    value = int(value_text)
-                    for v in args:
-                        check_value(v, f"function {name} argument")
-                    check_value(value, f"function {name} value")
-                    if args in table:
-                        raise ParseError(
-                            Diagnostic(
-                                "error", f"function {name} defines {args} twice", span
-                            )
-                        )
-                    table[args] = value
-            expected = size**arity
-            if len(table) != expected:
-                raise ParseError(
-                    Diagnostic(
-                        "error",
-                        f"partial table for function {name}: "
-                        f"{expected - len(table)} entries missing",
-                        span,
-                    )
+
+            def mapping() -> None:
+                start = cursor.peek()
+                args = cursor.row(size, arity, f"function {name} argument")
+                cursor.expect("->", "'->'")
+                value = cursor.element(size, f"function {name} value")
+                if args in table:
+                    raise start.error(f"function {name} defines {args} twice")
+                table[args] = value
+
+            bracket = cursor.expect("[", "'['")
+            cursor.items("]", mapping)
+            if len(table) != size**arity:
+                raise bracket.error(
+                    f"partial table for function {name}: "
+                    f"{size**arity - len(table)} entries missing"
                 )
             functions[name] = table
             fn_arities[name] = arity
-            continue
-
-        raise ParseError(Diagnostic("error", f"unrecognized model line {line!r}", span))
+        cursor.expect("NL", "end of line")
 
     voc = Vocabulary(rel_arities, fn_arities, frozenset(constants))
     model = Model(size, relations, functions, constants)
     return voc, model
-
-
-def _split_tuple_list(body: str, span: Span) -> list[str]:
-    """Split a comma-separated list, keeping parenthesized tuples intact."""
-    parts: list[str] = []
-    depth = 0
-    current = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(Diagnostic("error", "unbalanced parentheses", span))
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError(Diagnostic("error", "unbalanced parentheses", span))
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in parts if p]
 
 
 def format_model(voc: Vocabulary, m: Model) -> str:
@@ -585,52 +448,35 @@ def format_model(voc: Vocabulary, m: Model) -> str:
 # Team files
 
 def parse_team(src: Union[SourceText, str], m: Model) -> Team:
-    """Parse `vars x y` followed by one whitespace-separated row per line."""
-    source = _as_source(src)
-    lines = _significant_lines(source.text)
-    if not lines:
-        raise ParseError(Diagnostic("error", "empty team file", Span(1, 0, 1)))
-    line_no, header = lines[0]
-    span = _whole_line(line_no, header)
-    words = header.split()
-    if words[0] != "vars":
-        raise ParseError(
-            Diagnostic("error", "a team file must start with a `vars` line", span)
-        )
-    variables = words[1:]
-    if len(variables) != len(set(variables)):
-        raise ParseError(Diagnostic("error", "a variable is named twice", span))
-    for v in variables:
-        if not _IDENT_RE.fullmatch(v):
-            raise ParseError(Diagnostic("error", f"bad variable name {v!r}", span))
-        if v in m.constants or v in m.functions or v in m.relations:
-            raise ParseError(
-                Diagnostic("error", f"variable {v} collides with a model symbol", span)
-            )
+    """Parse `vars x y` followed by one whitespace-separated row per line;
+    `()` is the one row of a team without variables."""
+    cursor = _Cursor(_tokenize(src))
+    head = cursor.next()
+    if head.kind == "EOF":
+        raise head.error("empty team file")
+    if head.value != "vars":
+        raise head.error("a team file must start with a `vars` line")
+    variables: list[str] = []
+    while not cursor.accept("NL"):
+        var = cursor.name("a variable name")
+        if var.value in variables:
+            raise var.error("a variable is named twice")
+        if var.value in m.constants or var.value in m.functions or var.value in m.relations:
+            raise var.error(f"variable {var.value} collides with a model symbol")
+        variables.append(var.value)
 
     rows: set[Assignment] = set()
-    for line_no, line in lines[1:]:
-        span = _whole_line(line_no, line)
-        if line == "()":
-            entries: list[str] = []
+    while cursor.peek().kind != "EOF":
+        start = cursor.peek()
+        values: list[int] = []
+        if cursor.accept("("):
+            cursor.expect(")", "')'")
         else:
-            entries = line.split()
-        if len(entries) != len(variables):
-            raise ParseError(
-                Diagnostic(
-                    "error",
-                    f"row has {len(entries)} values, expected {len(variables)}",
-                    span,
-                )
-            )
-        if any(not e.isdigit() for e in entries):
-            raise ParseError(Diagnostic("error", f"malformed row {line!r}", span))
-        values = [int(e) for e in entries]
-        for v in values:
-            if not 0 <= v < m.size:
-                raise ParseError(
-                    Diagnostic("error", f"value {v} out of domain 0..{m.size - 1}", span)
-                )
+            while cursor.peek().kind != "NL":
+                values.append(cursor.element(m.size, "value"))
+        if len(values) != len(variables):
+            raise start.error(f"row has {len(values)} values, expected {len(variables)}")
+        cursor.expect("NL", "end of line")
         rows.add(Assignment(tuple(zip(variables, values))))
     return Team(frozenset(variables), frozenset(rows))
 
@@ -652,87 +498,50 @@ def format_team(team: Team) -> str:
 
 def parse_proof(src: Union[SourceText, str], voc: Vocabulary) -> Proof:
     """Parse `<idx>. <formula> <rule> [premises] [discharge <idx list>]` lines."""
-    source = _as_source(src)
+    cursor = _Cursor(_tokenize(src), voc)
     steps: list[ProofStep] = []
     seen: set[int] = set()
-    last_index = 0
-    for line_no, line in _significant_lines(source.text):
-        span = _whole_line(line_no, line)
-        m = re.match(r"(\d+)\.\s*(.*)", line)
-        if not m:
-            raise ParseError(
-                Diagnostic("error", "a proof line must start with `<idx>.`", span)
-            )
-        index = int(m.group(1))
-        if index <= last_index:
-            raise ParseError(
-                Diagnostic("error", f"step indices must increase (got {index})", span)
-            )
-        words = m.group(2).split()
 
+    def references() -> tuple[int, ...]:
+        refs = []
+        while cursor.peek().kind == "INT":
+            tok = cursor.next()
+            if int(tok.value) not in seen:
+                raise tok.error(f"dangling reference to step {tok.value}")
+            refs.append(int(tok.value))
+        return tuple(refs)
+
+    while cursor.peek().kind != "EOF":
+        index_tok = cursor.expect("INT", "a step index")
+        index = int(index_tok.value)
+        if index <= (steps[-1].index if steps else 0):
+            raise index_tok.error(f"step indices must increase (got {index})")
+        cursor.expect(".", "'.' after the step index")
+        formula = cursor.formula()
+        rule = cursor.expect("IDENT", "a rule name")
+        if rule.value not in RULES:
+            raise rule.error(f"unknown rule name {rule.value!r}")
+        premises = references()
         discharged: tuple[int, ...] = ()
-        if "discharge" in words:
-            at = len(words) - 1 - words[::-1].index("discharge")
-            tail = words[at + 1 :]
-            if not tail or any(not w.isdigit() for w in tail):
-                raise ParseError(
-                    Diagnostic("error", "`discharge` must be followed by step indices", span)
-                )
-            discharged = tuple(int(w) for w in tail)
-            words = words[:at]
-
-        premises: list[int] = []
-        while words and words[-1].isdigit():
-            premises.insert(0, int(words.pop()))
-
-        if not words:
-            raise ParseError(Diagnostic("error", "missing rule name", span))
-        rule = words.pop()
-        if rule not in RULES:
-            raise ParseError(Diagnostic("error", f"unknown rule name {rule!r}", span))
-        if not words:
-            raise ParseError(Diagnostic("error", "missing formula", span))
-
-        formula_text = " ".join(words)
-        try:
-            formula = parse_formula(SourceText(formula_text, source.origin), voc)
-        except ParseError as e:
-            raise ParseError(
-                Diagnostic(
-                    "error",
-                    f"step {index}: malformed formula: {e.diagnostic.message}",
-                    span,
-                )
-            ) from None
-
-        for ref in tuple(premises) + discharged:
-            if ref not in seen:
-                raise ParseError(
-                    Diagnostic("error", f"dangling reference to step {ref}", span)
-                )
-
-        steps.append(ProofStep(index, formula, rule, tuple(premises), discharged))
+        if cursor.peek().value == "discharge":
+            cursor.next()
+            if cursor.peek().kind != "INT":
+                raise cursor.peek().error("`discharge` must be followed by step indices")
+            discharged = references()
+        cursor.expect("NL", "end of line")
+        steps.append(ProofStep(index, formula, rule.value, premises, discharged))
         seen.add(index)
-        last_index = index
 
     if not steps:
-        raise ParseError(Diagnostic("error", "empty proof script", Span(1, 0, 1)))
+        raise cursor.peek().error("empty proof script")
     return Proof(tuple(steps))
 
 
 def parse_hypotheses(src: Union[SourceText, str], voc: Vocabulary) -> list[Formula]:
-    """One formula per significant line."""
-    source = _as_source(src)
+    """One formula per line."""
+    cursor = _Cursor(_tokenize(src), voc)
     out = []
-    for line_no, line in _significant_lines(source.text):
-        try:
-            out.append(parse_formula(SourceText(line, source.origin), voc))
-        except ParseError as e:
-            raise ParseError(
-                Diagnostic(
-                    "error",
-                    f"line {line_no}: {e.diagnostic.message}",
-                    _whole_line(line_no, line),
-                )
-            ) from None
+    while cursor.peek().kind != "EOF":
+        out.append(cursor.formula())
+        cursor.expect("NL", "end of line")
     return out

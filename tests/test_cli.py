@@ -10,6 +10,7 @@ from helpers import EXAMPLE3_TEXT
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("error:") == 1
     assert err.count("\n") == 1
     assert "Traceback" not in err
 

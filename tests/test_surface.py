@@ -1,5 +1,6 @@
 """Tests for parsing and printing of formulas, models, teams, and proofs."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from deplogic import (
     Or,
     ParseError,
     Rel,
+    Span,
     Var,
     Vocabulary,
     parse_formula,
@@ -25,7 +27,8 @@ from deplogic import (
     parse_vocabulary,
     print_formula,
 )
-from deplogic.semantics import Assignment, Model
+from deplogic.semantics import Assignment, Model, enumerate_models, enumerate_teams
+from deplogic.surface import format_model, format_team
 
 from helpers import VOC_C, VOC_R1C, random_formula
 
@@ -89,7 +92,13 @@ class TestParseFormula:
     def test_parse_error_has_span(self):
         with pytest.raises(ParseError) as e:
             parse_formula("dep(x,,y)", EMPTY)
-        assert e.value.diagnostic.span is not None
+        assert e.value.diagnostic.span == Span(1, 6, 7)
+
+    def test_end_of_input_span_ends_the_last_line(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula("forall x. (x = ", EMPTY)
+        assert e.value.diagnostic.span == Span(1, 15, 16)
+        assert str(e.value) == "1:15: expected a term, found end of input"
 
     def test_unicode_aliases(self):
         a = parse_formula("∀x. ∃y. ((x = y) ∧ ¬(x = y))", EMPTY)
@@ -177,6 +186,56 @@ class TestParseModel:
         assert voc.functions == {"g": 2}
 
 
+class TestStrictFiles:
+    """Names must be identifiers that are not keywords, and a list item may
+    not be empty; each error points at the offending token."""
+
+    @pytest.mark.parametrize("text, span", [
+        ("constant 9", Span(1, 9, 10)),
+        ("constant c-d", Span(1, 10, 11)),
+        ("constant forall", Span(1, 9, 15)),
+        ("relation dep/1", Span(1, 9, 12)),
+        ("function forall/1", Span(1, 9, 15)),
+        ("relation R/1\nconstant R", Span(2, 9, 10)),
+    ])
+    def test_vocabulary_rejects(self, text, span):
+        with pytest.raises(ParseError) as e:
+            parse_vocabulary(text)
+        assert e.value.diagnostic.span == span
+
+    @pytest.mark.parametrize("text, span", [
+        ("domain 2\nconstant forall = 1", Span(2, 9, 15)),
+        ("domain 2\nrelation R/1 = {(0),,(1)}", Span(2, 20, 21)),
+        ("domain 2\nfunction f/1 = [0->1, 1->0,]", Span(2, 27, 28)),
+        ("domain 2\nfunction f/1 = [0->1, 0->0]", Span(2, 22, 23)),
+    ])
+    def test_model_rejects(self, text, span):
+        with pytest.raises(ParseError) as e:
+            parse_model(text)
+        assert e.value.diagnostic.span == span
+
+
+class TestRoundTrips:
+    VOC = Vocabulary(relations={"A": 0, "P": 1, "R": 2}, functions={"f": 1, "g": 2},
+                     constants={"c"})
+
+    def test_model(self):
+        # Size 2 has 16 384 models; every 37th keeps the test fast and still
+        # varies every symbol's interpretation.
+        models = itertools.chain(
+            enumerate_models(self.VOC, 1),
+            itertools.islice(enumerate_models(self.VOC, 2), 0, None, 37),
+        )
+        for m in models:
+            assert parse_model(format_model(self.VOC, m)) == (self.VOC, m)
+
+    @pytest.mark.parametrize("variables", [(), ("x",), ("x", "y"), ("u", "x", "y")])
+    def test_team(self, variables):
+        m = Model(2)
+        for team in enumerate_teams(2, frozenset(variables)):
+            assert parse_team(format_team(team), m) == team
+
+
 class TestParseTeam:
     MODEL = Model(2)
 
@@ -245,6 +304,12 @@ class TestParseProof:
         proof = parse_proof(script, voc)
         assert proof.steps[5].discharged == (2, 4)
         assert proof.steps[5].premises == (1, 3, 5)
+
+    def test_malformed_formula_reports_its_token(self):
+        voc = Vocabulary(constants={"c"})
+        with pytest.raises(ParseError) as e:
+            parse_proof("1. c = c identity\n2. (c = c & ) identity", voc)
+        assert e.value.diagnostic.span == Span(2, 12, 13)
 
     def test_unknown_rule(self):
         with pytest.raises(ParseError) as e:
