@@ -8,12 +8,18 @@ through its normal form instead, by filling one table per dependence atom
 (the Skolem reading of the normal form).  A budget caps the number of
 candidates either search tries; exceeding it raises BudgetExceededError
 rather than guessing.
+
+First-order parts are evaluated one way everywhere, in both searches and
+in `fo_satisfies`: each is compiled once per model and call into closures
+over a slot-indexed environment, which then run for every row, value or
+tuple tried.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .normalform import NormalFormSentence, to_normal_form
@@ -32,11 +38,14 @@ from .syntax import (
     Term,
     Var,
     Vocabulary,
+    atom_terms,
+    conjoin,
     conjuncts,
     free_vars,
     infer_vocabulary,
     is_first_order,
     is_sentence,
+    subformulas,
 )
 
 
@@ -222,21 +231,150 @@ class _Counter:
 
 
 # ---------------------------------------------------------------------------
-# Terms and first-order satisfaction
+# Compiled first-order evaluation
+#
+# A term or first-order formula is compiled for one model into closures over
+# an environment, a flat list with one slot per variable.  Free variables get
+# the slots they are given; each quantifier gets the next slot by its depth,
+# so a shadowed variable has a slot of its own, and its loop writes that
+# slot.  Constants and function tables are looked up at compile time; a
+# missing one raises, like an unassigned variable, only when evaluation
+# reaches it.
+
+_TermCode = Callable[[list[int]], int]
+_Code = Callable[[list[int]], bool]
+
+
+def _fail(error: type[SemanticsError], message: str) -> _TermCode:
+    def fail(env: list[int]) -> int:
+        raise error(message)
+
+    return fail
+
+
+def _compile_term(m: Model, t: Term, slots: Mapping[str, int]) -> _TermCode:
+    if isinstance(t, Var):
+        if t.name not in slots:
+            return _fail(UnboundVariableError, f"variable {t.name} is not assigned")
+        return itemgetter(slots[t.name])
+    if isinstance(t, Const):
+        if t.name not in m.constants:
+            return _fail(SemanticsError, f"constant {t.name} not interpreted")
+        value = m.constants[t.name]
+        return lambda env: value
+    assert isinstance(t, Apply)
+    if t.func not in m.functions:
+        return _fail(SemanticsError, f"function {t.func} not interpreted")
+    table = m.functions[t.func]
+    args = [_compile_term(m, u, slots) for u in t.args]
+    if len(args) == 1:
+        (arg,) = args
+        return lambda env: table[(arg(env),)]
+    return lambda env: table[tuple([f(env) for f in args])]
+
+
+def _compile_atom(m: Model, phi: Formula, slots: Mapping[str, int]) -> _Code:
+    if isinstance(phi, Dep):
+        raise NotFirstOrderError("dependence atom in first-order evaluation")
+    terms = atom_terms(phi)
+    plain = [slots.get(t.name) if isinstance(t, Var) else None for t in terms]
+    direct = None not in plain
+    if isinstance(phi, Eq):
+        if direct:
+            i, j = plain
+            return lambda env: env[i] == env[j]
+        left, right = (_compile_term(m, t, slots) for t in terms)
+        return lambda env: left(env) == right(env)
+    assert isinstance(phi, Rel)
+    tuples = m.relations.get(phi.name, frozenset())
+    if direct and len(plain) == 1:
+        (i,) = plain
+        return lambda env: (env[i],) in tuples
+    if direct and plain:
+        get = itemgetter(*plain)
+        return lambda env: get(env) in tuples
+    args = [_compile_term(m, t, slots) for t in terms]
+    return lambda env: tuple([f(env) for f in args]) in tuples
+
+
+def _operands(phi: Formula) -> list[Formula]:
+    """The operands of a chain of phi's connective, any bracketing, left to
+    right."""
+    out, stack = [], [phi]
+    while stack:
+        f = stack.pop()
+        if type(f) is type(phi):
+            stack.extend(reversed(subformulas(f)))
+        else:
+            out.append(f)
+    return out
+
+
+def _compile(m: Model, phi: Formula, slots: Mapping[str, int]) -> tuple[_Code, int]:
+    """The code of a first-order formula whose free variables have the slots
+    0, ..., len(slots) - 1, and the length of the environment it needs: one
+    more slot per level of binders."""
+    base = width = len(slots)
+    rng = range(m.size)
+
+    def go(f: Formula, slots: Mapping[str, int], depth: int) -> _Code:
+        nonlocal width
+        if isinstance(f, (And, Or)):
+            parts = [go(p, slots, depth) for p in _operands(f)]
+            stop = isinstance(f, Or)
+
+            def chain(env: list[int]) -> bool:
+                for p in parts:
+                    if p(env) is stop:
+                        return stop
+                return not stop
+
+            return chain
+        if isinstance(f, Not):
+            body = go(f.body, slots, depth)
+            return lambda env: not body(env)
+        if isinstance(f, (Exists, Forall)):
+            i = base + depth
+            width = max(width, i + 1)
+            body = go(f.body, {**slots, f.var: i}, depth + 1)
+            stop = isinstance(f, Exists)
+
+            def quantifier(env: list[int]) -> bool:
+                for a in rng:
+                    env[i] = a
+                    if body(env) is stop:
+                        return stop
+                return not stop
+
+            return quantifier
+        return _compile_atom(m, f, slots)
+
+    code = go(phi, slots, 0)
+    return code, width
+
+
+def _compile_all(
+    m: Model, parts: list[Formula], slots: Mapping[str, int]
+) -> tuple[Optional[_Code], int]:
+    """`_compile` for the conjunction of parts; no code when there are none."""
+    return _compile(m, conjoin(parts), slots) if parts else (None, len(slots))
+
+
+def _slots(variables: Iterable[str]) -> dict[str, int]:
+    return {v: i for i, v in enumerate(sorted(variables))}
+
+
+def _env(s: Assignment, slots: Mapping[str, int], width: int) -> list[int]:
+    env = [0] * width
+    for v, a in s.items:
+        env[slots[v]] = a
+    return env
+
 
 def eval_term(m: Model, s: Assignment, t: Term) -> int:
     """Value of a term under an assignment, by table lookup."""
-    if isinstance(t, Var):
-        return s.value(t.name)
-    if isinstance(t, Const):
-        if t.name not in m.constants:
-            raise SemanticsError(f"constant {t.name} not interpreted")
-        return m.constants[t.name]
-    assert isinstance(t, Apply)
-    if t.func not in m.functions:
-        raise SemanticsError(f"function {t.func} not interpreted")
-    args = tuple(eval_term(m, s, a) for a in t.args)
-    return m.functions[t.func][args]
+    slots = _slots(s.variables)
+    return _compile_term(m, t, slots)(_env(s, slots, len(slots)))
 
 
 def fo_satisfies(m: Model, s: Assignment, phi: Formula) -> bool:
@@ -245,26 +383,9 @@ def fo_satisfies(m: Model, s: Assignment, phi: Formula) -> bool:
         raise NotFirstOrderError("fo_satisfies requires a first-order formula")
     if not free_vars(phi) <= s.variables:
         raise FreeVariableError("assignment does not cover the free variables")
-    return _fo(m, s, phi)
-
-
-def _fo(m: Model, s: Assignment, phi: Formula) -> bool:
-    if isinstance(phi, Rel):
-        tup = tuple(eval_term(m, s, t) for t in phi.args)
-        return tup in m.relations.get(phi.name, frozenset())
-    if isinstance(phi, Eq):
-        return eval_term(m, s, phi.left) == eval_term(m, s, phi.right)
-    if isinstance(phi, Not):
-        return not _fo(m, s, phi.body)
-    if isinstance(phi, And):
-        return _fo(m, s, phi.left) and _fo(m, s, phi.right)
-    if isinstance(phi, Or):
-        return _fo(m, s, phi.left) or _fo(m, s, phi.right)
-    if isinstance(phi, Exists):
-        return any(_fo(m, s.extended(phi.var, a), phi.body) for a in range(m.size))
-    if isinstance(phi, Forall):
-        return all(_fo(m, s.extended(phi.var, a), phi.body) for a in range(m.size))
-    raise NotFirstOrderError("dependence atom in first-order evaluation")
+    slots = _slots(s.variables)
+    code, width = _compile(m, phi, slots)
+    return code(_env(s, slots, width))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +395,13 @@ def dep_holds(m: Model, team: Team, terms: tuple[Term, ...]) -> bool:
     """Dependence-atom satisfaction: the last term is a function of the rest."""
     if not terms:
         return True
+    slots = _slots(team.variables)
+    *args, last = [_compile_term(m, t, slots) for t in terms]
     groups: dict[tuple[int, ...], int] = {}
     for s in team.rows:
-        key = tuple(eval_term(m, s, t) for t in terms[:-1])
-        value = eval_term(m, s, terms[-1])
+        env = _env(s, slots, len(slots))
+        key = tuple([f(env) for f in args])
+        value = last(env)
         if groups.setdefault(key, value) != value:
             return False
     return True
@@ -355,7 +479,9 @@ def _sat(
 ) -> bool:
     if is_first_order(phi):
         # Clause 1: a first-order formula holds iff it holds row by row.
-        return all(_fo(m, s, phi) for s in team.sorted_rows())
+        slots = _slots(team.variables)
+        code, width = _compile(m, phi, slots)
+        return all(code(_env(s, slots, width)) for s in team.sorted_rows())
     key = (phi, team)
     cached = memo.get(key)
     if cached is not None:
@@ -431,14 +557,17 @@ def _sat_exists(
     # Clause-1 pruning: a first-order conjunct holds on the supplemented
     # team iff it holds on every extended row, so each row's admissible
     # witness values can be computed up front.
+    extended_vars = team.variables | {x}
+    slots = _slots(extended_vars)
+    check, width = _compile_all(m, flat, slots)
     admissible: list[list[int]] = []
     for s in rows:
-        values = [
-            a
-            for a in range(m.size)
-            if all(_fo(m, s.extended(x, a), p) for p in flat)
-        ]
-        if not values and rows:
+        env, values = _env(s, slots, width), []
+        for a in range(m.size):
+            env[slots[x]] = a
+            if check is None or check(env):
+                values.append(a)
+        if not values:
             return False
         admissible.append(values)
 
@@ -446,7 +575,6 @@ def _sat_exists(
         counter.spend()
         return True
 
-    extended_vars = team.variables | {x}
     for combo in itertools.product(*admissible):
         counter.spend()
         supplemented = Team(
@@ -472,7 +600,8 @@ def sentence_true(
             f"formula has free variables {sorted(free_vars(phi))}"
         )
     if is_first_order(phi):
-        return _fo(m, Assignment(), phi)
+        code, width = _compile(m, phi, {})
+        return code([0] * width)
     return _skolem_true(m, to_normal_form(phi), _Counter(budget or SearchBudget()))
 
 
@@ -489,6 +618,7 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
     """
     xs, ys = nf.universals, nf.existentials
     order, nx, n = xs + ys, len(xs), len(ys)
+    # Each variable's index in `values`, the environment of the checks.
     rank = {v: i for i, v in enumerate(order)}
     keys = {y: tuple(rank[v] for v in w) for w, y in nf.dep_atoms}
     key_of = [keys.get(y) for y in ys]
@@ -500,11 +630,14 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
             universal_checks.append(part)
         else:
             checks[last - nx].append(part)
+    compiled = [_compile_all(m, parts, rank) for parts in [universal_checks, *checks]]
+    values = [0] * max(width for _, width in compiled)
+    universal, *due_code = [code for code, _ in compiled]
     rows = list(itertools.product(range(m.size), repeat=nx))
     # A conjunct over universals alone fails whatever the tables hold.
     for row in rows:
-        s = Assignment(tuple(zip(xs, row)))
-        if not all(_fo(m, s, part) for part in universal_checks):
+        values[:nx] = row
+        if universal is not None and not universal(values):
             return False
 
     tables: list[Optional[dict[tuple[int, ...], int]]] = [
@@ -512,13 +645,12 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
     ]
     chosen = [0] * (len(rows) * n)
     filled: list[Optional[tuple[int, ...]]] = [None] * len(chosen)
-    values = [0] * len(order)
     p, start = 0, 0
     while 0 <= p < len(chosen):
         r, j = divmod(p, n)
         values[:nx] = rows[r]
         values[nx : nx + j] = chosen[p - j : p]
-        table, key, due = tables[j], None, checks[j]
+        table, key, due = tables[j], None, due_code[j]
         candidates = range(start, m.size)
         if table is not None:
             key = tuple(values[i] for i in key_of[j])
@@ -529,10 +661,8 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
         for a in candidates:
             counter.spend()
             values[nx + j] = a
-            if due:
-                s = Assignment(tuple(zip(order, values[: nx + j + 1])))
-                if not all(_fo(m, s, part) for part in due):
-                    continue
+            if due is not None and not due(values):
+                continue
             chosen[p] = a
             if table is not None and key not in table:
                 table[key] = a

@@ -16,6 +16,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar, Union
 from .diagnostics import Diagnostic, ParseError, SourceText, Span
 from .syntax import (
     EMPTY_VOCABULARY,
+    KEYWORDS,
     And,
     Apply,
     Const,
@@ -49,10 +50,9 @@ _TOKEN = re.compile(
 )
 # Token kinds that differ from the token's text and from its group's name.
 _KINDS = {
-    "forall": "forall", "exists": "exists", "dep": "dep",
+    **{word: word for word in KEYWORDS},
     "∀": "forall", "∃": "exists", "∧": "&", "∨": "|", "¬": "~",
 }
-_KEYWORDS = ("forall", "exists", "dep")
 _ENDS = {"NL": "end of line", "EOF": "end of input"}
 
 
@@ -135,7 +135,7 @@ class _Cursor:
     def name(self, what: str) -> _Token:
         """An identifier that is not a keyword."""
         tok = self.next()
-        if tok.kind in _KEYWORDS:
+        if tok.kind in KEYWORDS:
             raise tok.error(f"{tok.value!r} is reserved")
         if tok.kind != "IDENT":
             raise tok.error(f"expected {what}, found {tok}")

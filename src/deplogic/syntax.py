@@ -33,6 +33,10 @@ class VocabularyError(SyntaxError_):
 # ---------------------------------------------------------------------------
 # Vocabulary
 
+# The words of the concrete syntax; no symbol may be named by one.
+KEYWORDS = ("forall", "exists", "dep")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """A first-order vocabulary: relation/function arities and constants."""
@@ -50,6 +54,9 @@ class Vocabulary:
         )
         if len(names) != len(set(names)):
             raise VocabularyError("relation/function/constant names must be disjoint")
+        for name in names:
+            if name in KEYWORDS:
+                raise VocabularyError(f"{name!r} is reserved")
         for name, arity in self.relations.items():
             if arity < 0:
                 raise VocabularyError(f"relation {name} has negative arity")

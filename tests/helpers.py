@@ -68,23 +68,25 @@ def random_formula(
     variables: list[str],
     depth: int,
     allow_dep: bool = True,
+    rebind: bool = False,
 ) -> Formula:
     """A random well-formed formula with free variables among `variables`
-    plus anything it binds itself."""
+    plus anything it binds itself.  With rebind, a quantifier may bind a
+    variable that is already in scope."""
     if depth <= 0 or rng.random() < 0.3:
         return _random_atom(rng, voc, variables, allow_dep)
     kind = rng.choice(["and", "or", "not", "exists", "forall", "atom"])
     if kind == "atom":
         return _random_atom(rng, voc, variables, allow_dep)
     if kind == "not":
-        return Not(random_formula(rng, voc, variables, depth - 1, allow_dep=False))
+        return Not(random_formula(rng, voc, variables, depth - 1, False, rebind))
     if kind in ("and", "or"):
-        left = random_formula(rng, voc, variables, depth - 1, allow_dep)
-        right = random_formula(rng, voc, variables, depth - 1, allow_dep)
+        left = random_formula(rng, voc, variables, depth - 1, allow_dep, rebind)
+        right = random_formula(rng, voc, variables, depth - 1, allow_dep, rebind)
         return And(left, right) if kind == "and" else Or(left, right)
     pool = [v for v in ("u", "v", "w") if v not in variables] or ["u"]
-    var = rng.choice(pool)
-    body = random_formula(rng, voc, variables + [var], depth - 1, allow_dep)
+    var = rng.choice(sorted(set(variables) | {"u"}) if rebind else pool)
+    body = random_formula(rng, voc, variables + [var], depth - 1, allow_dep, rebind)
     return Exists(var, body) if kind == "exists" else Forall(var, body)
 
 
@@ -108,9 +110,34 @@ def _random_atom(
 
 
 def random_fo_formula(
-    rng: random.Random, voc: Vocabulary, variables: list[str], depth: int
+    rng: random.Random, voc: Vocabulary, variables: list[str], depth: int, rebind: bool = False
 ) -> Formula:
-    return random_formula(rng, voc, variables, depth, allow_dep=False)
+    return random_formula(rng, voc, variables, depth, allow_dep=False, rebind=rebind)
+
+
+def tarski(m: Model, env: dict[str, int], phi: Formula) -> bool:
+    """Tarski truth of a first-order formula by plain recursion over a dict
+    assignment, written apart from `deplogic.semantics`."""
+
+    def term(t) -> int:
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, Const):
+            return m.constants[t.name]
+        return m.functions[t.func][tuple(term(u) for u in t.args)]
+
+    if isinstance(phi, Rel):
+        return tuple(term(t) for t in phi.args) in m.relations.get(phi.name, ())
+    if isinstance(phi, Eq):
+        return term(phi.left) == term(phi.right)
+    if isinstance(phi, Not):
+        return not tarski(m, env, phi.body)
+    if isinstance(phi, (And, Or)):
+        sides = (tarski(m, env, phi.left), tarski(m, env, phi.right))
+        return all(sides) if isinstance(phi, And) else any(sides)
+    assert isinstance(phi, (Exists, Forall)), phi
+    outcomes = [tarski(m, {**env, phi.var: a}, phi.body) for a in range(m.size)]
+    return any(outcomes) if isinstance(phi, Exists) else all(outcomes)
 
 
 def random_model(rng: random.Random, voc: Vocabulary, size: int) -> Model:

@@ -1,6 +1,7 @@
 """Tests for team-semantics evaluation: examples from the operation
 contracts, frozen by hand enumeration where derived."""
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from deplogic import (
     Team,
     Var,
     Vocabulary,
+    build_approximation,
     dep_holds,
     duplicate,
     equiv_on_small_models,
@@ -33,6 +35,7 @@ from deplogic import (
     satisfies,
     sentence_true,
     supplement,
+    to_normal_form,
 )
 from deplogic.normalform import reassemble
 from deplogic.semantics import (
@@ -40,6 +43,7 @@ from deplogic.semantics import (
     Assignment,
     FreeVariableError,
     NotFirstOrderError,
+    SemanticsError,
     SentenceError,
     TeamError,
     UnboundVariableError,
@@ -52,10 +56,15 @@ from helpers import (
     SMALL_BUDGET,
     THETA1_TEXT,
     VOC_C,
+    VOC_F1,
     VOC_R1C,
+    VOC_R1S1C,
+    random_fo_formula,
     random_model,
     random_normal_form,
+    tarski,
 )
+from deplogic.syntax import walk
 
 x, y, z = Var("x"), Var("y"), Var("z")
 EXAMPLE3_FLAT_TEXT = "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))"
@@ -94,6 +103,66 @@ class TestFoSatisfies:
 
     def test_quantifiers(self):
         assert fo_satisfies(self.MODEL, Assignment(), Forall("x", Exists("y", Eq(x, y))))
+
+    def test_rejects_dependence_atom_under_quantifier(self):
+        with pytest.raises(NotFirstOrderError):
+            fo_satisfies(self.MODEL, asg(x=0), Exists("y", And(Eq(x, y), Dep((x, y)))))
+
+    def test_rebinding_shadows_the_outer_variable(self):
+        # forall x. exists x. x = y: the inner x is free to equal y.
+        phi = Forall("x", Exists("x", Eq(x, y)))
+        assert fo_satisfies(self.MODEL, asg(y=1), phi)
+        # exists x. (x = y & forall x. x = y) fails on two elements.
+        assert not fo_satisfies(self.MODEL, asg(y=1), Exists("x", And(Eq(x, y), Forall("x", Eq(x, y)))))
+
+    def test_missing_symbols_raise_only_when_reached(self):
+        m = Model(2, relations={"P": frozenset({(0,)})})
+        phi = Or(Rel("P", (x,)), Rel("Q", (Const("c"),)))
+        assert fo_satisfies(m, asg(x=0), phi)
+        with pytest.raises(SemanticsError, match="^constant c not interpreted$"):
+            fo_satisfies(m, asg(x=1), phi)
+        applied = Eq(Apply("f", (x,)), x)
+        assert fo_satisfies(m, asg(x=1), Or(Eq(x, x), applied))
+        with pytest.raises(SemanticsError, match="^function f not interpreted$"):
+            fo_satisfies(m, asg(x=1), Or(Not(Eq(x, x)), applied))
+
+
+class TestCompiledAgainstTarski:
+    """`fo_satisfies` and first-order `sentence_true` against the plain
+    recursive evaluator of the test helpers, on every model of size <= 2."""
+
+    @pytest.mark.parametrize("voc", [VOC_R1S1C, VOC_F1], ids=["R1S1C", "F1"])
+    def test_random_formulas_agree(self, voc):
+        rng = random.Random(8)
+        shapes = set()
+        models = [m for size in (1, 2) for m in enumerate_models(voc, size)]
+        for _ in range(120):
+            phi = random_fo_formula(rng, voc, ["x", "y"], depth=4, rebind=True)
+            shapes |= _shapes(phi)
+            closed = Forall("x", Forall("y", phi))
+            for m in models:
+                for a, b in itertools.product(range(m.size), repeat=2):
+                    env = {"x": a, "y": b}
+                    assert fo_satisfies(m, asg(**env), phi) == tarski(m, env, phi), (phi, m, env)
+                assert sentence_true(m, closed) == tarski(m, {}, closed), (closed, m)
+        assert shapes == {"rebinds", "quantifier under ~", "quantifier under |"}
+
+    def test_deep_approximation_still_evaluates(self):
+        # Phi^16 of example 3 nests 48 quantifiers; on one element it is false.
+        nf = to_normal_form(parse_formula(EXAMPLE3_TEXT, VOC_C))
+        assert not sentence_true(Model(1, constants={"c": 0}), build_approximation(nf, 16))
+
+
+def _shapes(phi):
+    out = set()
+    for f, binders in walk(phi):
+        if isinstance(f, (Exists, Forall)) and f.var in binders + ("x", "y"):
+            out.add("rebinds")
+        if isinstance(f, (Not, Or)) and any(
+            isinstance(g, (Exists, Forall)) for g, _ in walk(f)
+        ):
+            out.add(f"quantifier under {'~' if isinstance(f, Not) else '|'}")
+    return out
 
 
 class TestDepHolds:

@@ -212,6 +212,16 @@ class TestVocabulary:
         with pytest.raises(VocabularyError):
             Vocabulary(functions={"f": 0})
 
+    @pytest.mark.parametrize("word", ["forall", "exists", "dep"])
+    def test_keywords_are_reserved(self, word):
+        # A symbol named dep would print as dep(x) and read back as a
+        # dependence atom.
+        for kind in ({"relations": {word: 1}}, {"functions": {word: 1}}, {"constants": {word}}):
+            with pytest.raises(VocabularyError, match="reserved"):
+                Vocabulary(**kind)
+        with pytest.raises(VocabularyError, match="reserved"):
+            infer_vocabulary(Rel(word, (x,)))
+
     def test_infer_vocabulary(self):
         phi = And(Rel("R", (Apply("f", (x,)),)), Eq(Const("c"), x))
         voc = infer_vocabulary(phi)
