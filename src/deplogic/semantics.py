@@ -3,11 +3,15 @@
 `satisfies` is the reference: a brute-force team search in which
 disjunction enumerates complementary splits of the team (sound by downward
 closure) and existential quantification enumerates supplement functions
-row by row.  `sentence_true` decides a sentence that is not first-order
-through its normal form instead, by filling one table per dependence atom
-(the Skolem reading of the normal form).  A budget caps the number of
-candidates either search tries; exceeding it raises BudgetExceededError
-rather than guessing.
+row by row.  The search numbers the rows it can meet, once per evaluation,
+and runs on teams as int bitmasks over those rows: each subformula is
+compiled once per model and row space into a closure from masks to
+verdicts, with a memo of its own.  `equiv_on_small_models` runs the same
+compiled search over every team of a model.  `sentence_true` decides a
+sentence that is not first-order through its normal form instead, by
+filling one table per dependence atom (the Skolem reading of the normal
+form).  A budget caps the number of candidates either search tries;
+exceeding it raises BudgetExceededError rather than guessing.
 
 First-order parts are evaluated one way everywhere, in both searches and
 in `fo_satisfies`: each is compiled once per model and call into closures
@@ -17,9 +21,10 @@ tuple tried.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .normalform import NormalFormSentence, to_normal_form
@@ -207,9 +212,11 @@ DEFAULT_BUDGET_POINTS = 10_000_000
 @dataclass(frozen=True)
 class SearchBudget:
     """Cap on enumerated witnesses.  In the team search of `satisfies` a
-    point is one supplement function or one split tried; in the Skolem
-    search of `sentence_true` it is one value tried for one existential on
-    one universal tuple, a value read from a table included."""
+    point is one supplement function or one split tried; a subformula
+    already decided on the same team is looked up in its memo and costs no
+    point.  In the Skolem search of `sentence_true` a point is one value
+    tried for one existential on one universal tuple, a value read from a
+    table included."""
 
     max_choice_points: int = DEFAULT_BUDGET_POINTS
 
@@ -219,10 +226,14 @@ class SearchBudget:
 
 
 class _Counter:
-    __slots__ = ("remaining",)
+    __slots__ = ("points", "remaining")
 
     def __init__(self, budget: SearchBudget) -> None:
-        self.remaining = budget.max_choice_points
+        self.points = budget.max_choice_points
+        self.reset()
+
+    def reset(self) -> None:
+        self.remaining = self.points
 
     def spend(self, n: int = 1) -> None:
         self.remaining -= n
@@ -442,6 +453,175 @@ def restrict(team: Team, variables: frozenset[str] | set[str]) -> Team:
 
 # ---------------------------------------------------------------------------
 # Team satisfaction
+#
+# A row space is a sorted list of value tuples, each in the sorted order of
+# the space's variable names; a team is an int bitmask over it, row i being
+# bit i.  The body of a quantifier on x lives in the child space: every row
+# extended at x by every value, renumbered in sorted order.
+
+_TeamCode = Callable[[int], bool]
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _Space:
+    """A row space, with the nodes compiled over it and its child spaces."""
+
+    def __init__(self, names: tuple[str, ...], rows: list[tuple[int, ...]]) -> None:
+        self.names, self.rows, self.slots = names, rows, _slots(names)
+        self.nodes: dict[Formula, _TeamCode] = {}
+        self.children: dict[str, tuple[_Space, list[list[int]]]] = {}
+
+
+class _TeamCompiler:
+    """Team formulas compiled for one model.  Equal subformulas over equal
+    row spaces share one node, and so one memo, as equal (formula, team)
+    pairs do; every node spends from one counter."""
+
+    def __init__(self, m: Model, counter: _Counter) -> None:
+        self.m, self.counter = m, counter
+        self.spaces: dict[tuple, _Space] = {}
+
+    def space(self, names: tuple[str, ...], rows: list[tuple[int, ...]]) -> _Space:
+        return self.spaces.setdefault((names, tuple(rows)), _Space(names, rows))
+
+    def child(self, space: _Space, x: str) -> tuple[_Space, list[list[int]]]:
+        """The child space of space at x, and for each row of space the bits
+        of its extensions by the values 0, 1, ...  When x is a variable of
+        space already, rows that differ only at x share their extensions."""
+        if x not in space.children:
+            names = tuple(sorted({*space.names, x}))
+            extended = [
+                [
+                    tuple({**dict(zip(space.names, row)), x: a}[v] for v in names)
+                    for a in range(self.m.size)
+                ]
+                for row in space.rows
+            ]
+            child = self.space(names, sorted({r for rs in extended for r in rs}))
+            bit = {row: 1 << i for i, row in enumerate(child.rows)}
+            space.children[x] = (child, [[bit[r] for r in rs] for rs in extended])
+        return space.children[x]
+
+    def holds(self, phi: Formula, space: _Space) -> int:
+        """The mask of the rows of space where first-order phi holds."""
+        code, width = _compile(self.m, phi, space.slots)
+        pad = [0] * (width - len(space.names))
+        return sum(1 << i for i, row in enumerate(space.rows) if code([*row, *pad]))
+
+    def code(self, phi: Formula, space: _Space) -> _TeamCode:
+        code = space.nodes.get(phi)
+        if code is None:
+            code = space.nodes[phi] = self._build(phi, space)
+        return code
+
+    def _build(self, phi: Formula, space: _Space) -> _TeamCode:
+        if is_first_order(phi):
+            # Clause 1: a first-order formula holds iff it holds row by row.
+            fails = ~self.holds(phi, space)
+            return lambda mask: not mask & fails
+        if isinstance(phi, Dep):
+            # The last term must be a function of the others on the team.
+            terms = [_compile_term(self.m, t, space.slots) for t in phi.args]
+            values = [tuple([f(list(row)) for f in terms]) for row in space.rows]
+            table = [(v[:-1], v[-1:]) for v in values]
+
+            def decide(mask: int) -> bool:
+                seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+                for i in _members(mask):
+                    key, value = table[i]
+                    if seen.setdefault(key, value) != value:
+                        return False
+                return True
+
+        elif isinstance(phi, And):
+            parts = [phi.left, phi.right]
+            # Check the flat side first; order is invisible to the verdict.
+            if is_first_order(phi.right) and not is_first_order(phi.left):
+                parts.reverse()
+            first, second = (self.code(p, space) for p in parts)
+            decide = lambda mask: first(mask) and second(mask)
+        elif isinstance(phi, Or):
+            left, right = self.code(phi.left, space), self.code(phi.right, space)
+            spend = self.counter.spend
+
+            def decide(mask: int) -> bool:
+                # The splits (Y, X - Y), Y running over the sub-masks of X
+                # in ascending order.
+                sub = 0
+                while True:
+                    spend()
+                    if left(sub) and right(mask ^ sub):
+                        return True
+                    if sub == mask:
+                        return False
+                    sub = (sub - mask) & mask
+
+        elif isinstance(phi, Exists):
+            decide = self._exists(phi, space)
+        elif isinstance(phi, Forall):
+            child, extensions = self.child(space, phi.var)
+            body = self.code(phi.body, child)
+            duplicates = [sum(bits) for bits in extensions]
+            decide = lambda mask: body(
+                functools.reduce(or_, [duplicates[i] for i in _members(mask)], 0)
+            )
+        else:
+            raise AssertionError(f"unhandled connective {type(phi).__name__}")
+        memo: dict[int, bool] = {}
+
+        def node(mask: int) -> bool:
+            verdict = memo.get(mask)
+            if verdict is None:
+                verdict = memo[mask] = decide(mask)
+            return verdict
+
+        return node
+
+    def _exists(self, phi: Exists, space: _Space) -> _TeamCode:
+        x, parts = phi.var, conjuncts(phi.body)
+        flat = [p for p in parts if is_first_order(p)]
+        rest = [p for p in parts if not is_first_order(p)]
+        # Conjuncts not mentioning x hold on a supplemented team iff they hold
+        # on the original one (locality), so they are settled up front.
+        settled = [self.code(p, space) for p in rest if x not in free_vars(p)]
+        # Dependence atoms are cheap to refute; check them before nested blocks.
+        rest.sort(key=lambda p: not isinstance(p, Dep))
+        child, extensions = self.child(space, x)
+        searched = [self.code(p, child) for p in rest if x in free_vars(p)]
+        # Clause-1 pruning: a first-order conjunct holds on the supplemented
+        # team iff it holds on every extended row, so each row's admissible
+        # witnesses, as bits of the child space, are fixed up front.
+        holds = self.holds(conjoin(flat), child) if flat else -1
+        choices = [[b for b in bits if holds & b] for bits in extensions]
+        spend = self.counter.spend
+
+        def decide(mask: int) -> bool:
+            if not all(p(mask) for p in settled):
+                return False
+            admissible = [choices[i] for i in _members(mask)]
+            if not all(admissible):
+                return False
+            if not searched:
+                spend()
+                return True
+            for combo in itertools.product(*admissible):
+                spend()
+                team = functools.reduce(or_, combo, 0)
+                if all(p(team) for p in searched):
+                    return True
+            return False
+
+        return decide
+
 
 def satisfies(
     m: Model,
@@ -451,10 +631,12 @@ def satisfies(
 ) -> bool:
     """Team satisfaction by exhaustive witness search.
 
+    The team's sorted rows are the row space, and the team is its full mask.
     Disjunction tries the complementary splits (Y, X - Y); existential
-    quantification tries supplement functions.  Both are counted against
-    the budget and enumerated in a fixed order, so answers are
-    deterministic and never depend on the budget unless it runs out.
+    quantification tries supplement functions, one admissible value per row.
+    Both are counted against the budget and enumerated in a fixed order, so
+    answers are deterministic and never depend on the budget unless it runs
+    out.
     """
     if not free_vars(phi) <= team.variables:
         raise FreeVariableError(
@@ -465,125 +647,10 @@ def satisfies(
         for _, a in s.items:
             if not 0 <= a < m.size:
                 raise TeamError(f"team value {a} outside the model domain")
-    counter = _Counter(budget or SearchBudget())
-    memo: dict[tuple[Formula, Team], bool] = {}
-    return _sat(m, team, phi, counter, memo)
-
-
-def _sat(
-    m: Model,
-    team: Team,
-    phi: Formula,
-    counter: _Counter,
-    memo: dict[tuple[Formula, Team], bool],
-) -> bool:
-    if is_first_order(phi):
-        # Clause 1: a first-order formula holds iff it holds row by row.
-        slots = _slots(team.variables)
-        code, width = _compile(m, phi, slots)
-        return all(code(_env(s, slots, width)) for s in team.sorted_rows())
-    key = (phi, team)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = _sat_compound(m, team, phi, counter, memo)
-    memo[key] = result
-    return result
-
-
-def _sat_compound(
-    m: Model,
-    team: Team,
-    phi: Formula,
-    counter: _Counter,
-    memo: dict[tuple[Formula, Team], bool],
-) -> bool:
-    if isinstance(phi, Dep):
-        return dep_holds(m, team, phi.args)
-
-    if isinstance(phi, And):
-        # Check the flat side first; order is invisible to the verdict.
-        if is_first_order(phi.right) and not is_first_order(phi.left):
-            return _sat(m, team, phi.right, counter, memo) and _sat(
-                m, team, phi.left, counter, memo
-            )
-        return _sat(m, team, phi.left, counter, memo) and _sat(
-            m, team, phi.right, counter, memo
-        )
-
-    if isinstance(phi, Or):
-        rows = team.sorted_rows()
-        n = len(rows)
-        for mask in range(1 << n):
-            counter.spend()
-            left_rows = frozenset(rows[i] for i in range(n) if mask >> i & 1)
-            right_rows = frozenset(rows[i] for i in range(n) if not mask >> i & 1)
-            if _sat(m, Team(team.variables, left_rows), phi.left, counter, memo) and _sat(
-                m, Team(team.variables, right_rows), phi.right, counter, memo
-            ):
-                return True
-        return False
-
-    if isinstance(phi, Exists):
-        return _sat_exists(m, team, phi, counter, memo)
-
-    if isinstance(phi, Forall):
-        return _sat(m, duplicate(team, m, phi.var), phi.body, counter, memo)
-
-    raise AssertionError(f"unhandled connective {type(phi).__name__}")
-
-
-def _sat_exists(
-    m: Model,
-    team: Team,
-    phi: Exists,
-    counter: _Counter,
-    memo: dict[tuple[Formula, Team], bool],
-) -> bool:
-    x = phi.var
-    rows = team.sorted_rows()
-    parts = conjuncts(phi.body)
-    flat = [p for p in parts if is_first_order(p)]
-    rest = [p for p in parts if not is_first_order(p)]
-    # Conjuncts not mentioning x hold on a supplemented team iff they hold
-    # on the original one (locality), so they are settled up front.
-    settled = [p for p in rest if x not in free_vars(p)]
-    searched = [p for p in rest if x in free_vars(p)]
-    # Dependence atoms are cheap to refute; check them before nested blocks.
-    searched.sort(key=lambda p: 0 if isinstance(p, Dep) else 1)
-    if not all(_sat(m, team, p, counter, memo) for p in settled):
-        return False
-
-    # Clause-1 pruning: a first-order conjunct holds on the supplemented
-    # team iff it holds on every extended row, so each row's admissible
-    # witness values can be computed up front.
-    extended_vars = team.variables | {x}
-    slots = _slots(extended_vars)
-    check, width = _compile_all(m, flat, slots)
-    admissible: list[list[int]] = []
-    for s in rows:
-        env, values = _env(s, slots, width), []
-        for a in range(m.size):
-            env[slots[x]] = a
-            if check is None or check(env):
-                values.append(a)
-        if not values:
-            return False
-        admissible.append(values)
-
-    if not searched:
-        counter.spend()
-        return True
-
-    for combo in itertools.product(*admissible):
-        counter.spend()
-        supplemented = Team(
-            extended_vars,
-            frozenset(s.extended(x, a) for s, a in zip(rows, combo)),
-        )
-        if all(_sat(m, supplemented, p, counter, memo) for p in searched):
-            return True
-    return False
+    rows = [tuple(a for _, a in s.items) for s in team.sorted_rows()]
+    compiler = _TeamCompiler(m, _Counter(budget or SearchBudget()))
+    code = compiler.code(phi, compiler.space(tuple(sorted(team.variables)), rows))
+    return code((1 << len(rows)) - 1)
 
 
 def sentence_true(
@@ -761,16 +828,30 @@ def equiv_on_small_models(
     """Exhaustively compare two formulas on all models up to max_size.
 
     The vocabulary is inferred from the formulas' symbol uses.  Every team
-    over the union of free variables is tried; the first disagreement is
-    reported.  Each evaluation gets a fresh budget.
+    over the union of free variables is tried, in `enumerate_models` and
+    `enumerate_teams` order; the first disagreement is reported.  Both
+    formulas are compiled once per model over all its rows, so a subformula
+    is decided at most once per team of a model.  Each formula on each team
+    gets the whole budget; what an earlier team of the same model decided
+    is reused at no cost.
     """
     voc = infer_vocabulary(phi).merged(infer_vocabulary(psi))
-    fv = free_vars(phi) | free_vars(psi)
+    names = tuple(sorted(free_vars(phi) | free_vars(psi)))
+    counter = _Counter(budget or SearchBudget())
     for size in range(1, max_size + 1):
+        rows = list(itertools.product(range(size), repeat=len(names)))
         for m in enumerate_models(voc, size):
-            for team in enumerate_teams(size, fv):
-                a = satisfies(m, team, phi, budget)
-                b = satisfies(m, team, psi, budget)
+            compiler = _TeamCompiler(m, counter)
+            space = compiler.space(names, rows)
+            left, right = compiler.code(phi, space), compiler.code(psi, space)
+            for mask in range(1 << len(rows)):
+                counter.reset()
+                a = left(mask)
+                counter.reset()
+                b = right(mask)
                 if a != b:
+                    # The mask-th team of `enumerate_teams`.
+                    rows_of = [Assignment(tuple(zip(names, rows[i]))) for i in _members(mask)]
+                    team = Team(frozenset(names), frozenset(rows_of))
                     return EquivResult(False, Counterexample(m, team, a, b))
     return EquivResult(True)

@@ -26,6 +26,7 @@ from deplogic import (
     Vocabulary,
     free_vars,
     infer_vocabulary,
+    is_first_order,
     satisfies,
 )
 from deplogic.normalform import NormalFormSentence
@@ -115,21 +116,21 @@ def random_fo_formula(
     return random_formula(rng, voc, variables, depth, allow_dep=False, rebind=rebind)
 
 
+def term_value(m: Model, env: dict[str, int], t) -> int:
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return m.constants[t.name]
+    return m.functions[t.func][tuple(term_value(m, env, u) for u in t.args)]
+
+
 def tarski(m: Model, env: dict[str, int], phi: Formula) -> bool:
     """Tarski truth of a first-order formula by plain recursion over a dict
     assignment, written apart from `deplogic.semantics`."""
-
-    def term(t) -> int:
-        if isinstance(t, Var):
-            return env[t.name]
-        if isinstance(t, Const):
-            return m.constants[t.name]
-        return m.functions[t.func][tuple(term(u) for u in t.args)]
-
     if isinstance(phi, Rel):
-        return tuple(term(t) for t in phi.args) in m.relations.get(phi.name, ())
+        return tuple(term_value(m, env, t) for t in phi.args) in m.relations.get(phi.name, ())
     if isinstance(phi, Eq):
-        return term(phi.left) == term(phi.right)
+        return term_value(m, env, phi.left) == term_value(m, env, phi.right)
     if isinstance(phi, Not):
         return not tarski(m, env, phi.body)
     if isinstance(phi, (And, Or)):
@@ -138,6 +139,44 @@ def tarski(m: Model, env: dict[str, int], phi: Formula) -> bool:
     assert isinstance(phi, (Exists, Forall)), phi
     outcomes = [tarski(m, {**env, phi.var: a}, phi.body) for a in range(m.size)]
     return any(outcomes) if isinstance(phi, Exists) else all(outcomes)
+
+
+def team_holds(m: Model, rows: list[dict[str, int]], phi: Formula) -> bool:
+    """Team satisfaction transcribed clause by clause, written apart from
+    `deplogic.semantics`: the team is a list of dict assignments, and there
+    is no pruning and no memo.  Disjunction tries every split, existential
+    quantification every supplement function."""
+    if is_first_order(phi):
+        return all(tarski(m, row, phi) for row in rows)
+    if isinstance(phi, Dep):
+        # The last term is a function of the others; dep() always holds.
+        table: dict[tuple[int, ...], int] = {}
+        for row in rows:
+            values = [term_value(m, row, t) for t in phi.args]
+            if values and table.setdefault(tuple(values[:-1]), values[-1]) != values[-1]:
+                return False
+        return True
+    if isinstance(phi, And):
+        return team_holds(m, rows, phi.left) and team_holds(m, rows, phi.right)
+    if isinstance(phi, Or):
+        return any(
+            team_holds(m, [r for r, b in zip(rows, side) if b], phi.left)
+            and team_holds(m, [r for r, b in zip(rows, side) if not b], phi.right)
+            for side in itertools.product((True, False), repeat=len(rows))
+        )
+    x, values = phi.var, range(m.size)
+    if isinstance(phi, Forall):
+        return team_holds(m, _distinct([{**r, x: a} for r in rows for a in values]), phi.body)
+    assert isinstance(phi, Exists), phi
+    return any(
+        team_holds(m, _distinct([{**r, x: a} for r, a in zip(rows, choice)]), phi.body)
+        for choice in itertools.product(values, repeat=len(rows))
+    )
+
+
+def _distinct(rows: list[dict[str, int]]) -> list[dict[str, int]]:
+    """The rows as a set: a rebound variable can merge them."""
+    return [dict(items) for items in sorted({tuple(sorted(r.items())) for r in rows})]
 
 
 def random_model(rng: random.Random, voc: Vocabulary, size: int) -> Model:

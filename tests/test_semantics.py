@@ -29,6 +29,9 @@ from deplogic import (
     equiv_on_small_models,
     eval_term,
     fo_satisfies,
+    free_vars,
+    infer_vocabulary,
+    is_first_order,
     make_team,
     parse_formula,
     restrict,
@@ -41,6 +44,7 @@ from deplogic.normalform import reassemble
 from deplogic.semantics import (
     EMPTY_DOMAIN_SINGLETON,
     Assignment,
+    Counterexample,
     FreeVariableError,
     NotFirstOrderError,
     SemanticsError,
@@ -48,6 +52,7 @@ from deplogic.semantics import (
     TeamError,
     UnboundVariableError,
     enumerate_models,
+    enumerate_teams,
 )
 
 from helpers import (
@@ -60,14 +65,18 @@ from helpers import (
     VOC_R1C,
     VOC_R1S1C,
     random_fo_formula,
+    random_formula,
     random_model,
     random_normal_form,
     tarski,
+    team_holds,
 )
 from deplogic.syntax import walk
 
 x, y, z = Var("x"), Var("y"), Var("z")
 EXAMPLE3_FLAT_TEXT = "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))"
+VOC_PR = Vocabulary(relations={"P": 1, "R": 2})
+MODEL_PR = Model(3, relations={"P": {(0,)}, "R": {(0, 1), (0, 2), (1, 2), (2, 0)}})
 
 
 def asg(**kwargs):
@@ -334,6 +343,38 @@ class TestBudget:
             with pytest.raises(BudgetExceededError):
                 sentence_true(m, phi, SearchBudget(32))
 
+    def test_split_points_on_a_team(self):
+        # The splits of three rows are tried in ascending order; the fifth,
+        # row 2 against rows 0 and 1, is the first that works.
+        team = make_team(["x", "y"], [{"x": 0, "y": 0}, {"x": 0, "y": 1}, {"x": 1, "y": 0}])
+        phi = parse_formula("dep(x,y) | P(x)", VOC_PR)
+        assert satisfies(MODEL_PR, team, phi, SearchBudget(5))
+        with pytest.raises(BudgetExceededError):
+            satisfies(MODEL_PR, team, phi, SearchBudget(4))
+
+    def test_split_points_follow_sorted_rows(self):
+        # The duplicated team's rows are numbered in sorted order: with u
+        # before x the rows with u = 0 are the first two, the fourth split;
+        # with y after x they alternate, the sixth.
+        team = make_team(["x"], [{"x": 0}, {"x": 1}])
+        for var, points in (("u", 4), ("y", 6)):
+            phi = parse_formula(f"forall {var}. (dep({var}) | dep({var}))", VOC_PR)
+            assert satisfies(Model(2), team, phi, SearchBudget(points))
+            with pytest.raises(BudgetExceededError):
+                satisfies(Model(2), team, phi, SearchBudget(points - 1))
+
+    def test_supplement_points_on_a_team(self):
+        # x tells the two rows apart, so the first supplement works: one
+        # point, the smallest budget there is.
+        team = make_team(["x"], [{"x": 0}, {"x": 1}])
+        phi = parse_formula("exists y. (dep(x,y) & R(x,y))", VOC_PR)
+        assert satisfies(MODEL_PR, team, phi, SearchBudget(1))
+        # Admissible values [1, 2] and [2]: the second supplement works.
+        constant = parse_formula("exists y. (dep(y) & R(x,y))", VOC_PR)
+        assert satisfies(MODEL_PR, team, constant, SearchBudget(2))
+        with pytest.raises(BudgetExceededError):
+            satisfies(MODEL_PR, team, constant, SearchBudget(1))
+
     def test_first_order_sentence_spends_no_budget(self):
         phi = parse_formula("forall x. exists y. ~(x = y)", VOC_C)
         assert sentence_true(Model(3, constants={"c": 0}), phi, SearchBudget(1))
@@ -401,3 +442,56 @@ class TestEquivOracle:
         theta1 = parse_formula(THETA1_TEXT, VOC_C)
         ex3 = parse_formula(EXAMPLE3_TEXT, VOC_C)
         assert equiv_on_small_models(theta1, ex3, 3).equivalent
+
+    @pytest.mark.parametrize(
+        "left, right, size",
+        [
+            ("dep(x) | P(x)", "dep(x)", 2),
+            ("dep(x, y) & P(x)", "dep(x, y) | P(x)", 1),
+            ("forall y. (dep(x, y) | P(y))", "P(x) | ~P(x)", 2),
+            # Two values per x fit a split into two functions; three do not.
+            ("forall y. (dep(x, y) | dep(x, y))", "x = x", 3),
+        ],
+    )
+    def test_counterexample_is_the_first_disagreement(self, left, right, size):
+        phi, psi = parse_formula(left, VOC_PR), parse_formula(right, VOC_PR)
+        fv = free_vars(phi) | free_vars(psi)
+        voc = infer_vocabulary(phi).merged(infer_vocabulary(psi))
+        first = next(
+            Counterexample(m, team, a, b)
+            for k in (1, 2, 3)
+            for m in enumerate_models(voc, k)
+            for team in enumerate_teams(k, fv)
+            for a, b in [(satisfies(m, team, phi), satisfies(m, team, psi))]
+            if a != b
+        )
+        assert first.model.size == size
+        assert equiv_on_small_models(phi, psi, 3).counterexample == first
+
+
+class TestTeamSearchReference:
+    """`satisfies` against `helpers.team_holds`, the clauses transcribed with
+    no pruning and no memo."""
+
+    def test_random_formulas_on_every_small_team(self):
+        rng = random.Random(11)
+        shapes: set[str] = set()
+        rebound = checked = 0
+        while checked < 60:
+            phi = random_formula(rng, VOC_R1C, ["x", "y"], depth=3, rebind=rng.random() < 0.3)
+            searched = [f for f, _ in walk(phi) if not is_first_order(f)]
+            quantifiers = [f for f in searched if isinstance(f, (Exists, Forall))]
+            # Two nested quantifiers over four rows already make the
+            # reference try 2**8 supplements per team.
+            if not searched or len(quantifiers) > 2:
+                continue
+            shapes |= {type(f).__name__ for f in searched}
+            rebound += any(f.var in ("x", "y") for f in quantifiers)
+            checked += 1
+            for size in (1, 2):
+                for m in enumerate_models(VOC_R1C, size):
+                    for team in enumerate_teams(size, frozenset({"x", "y"})):
+                        rows = [s.as_dict() for s in team.sorted_rows()]
+                        assert satisfies(m, team, phi) == team_holds(m, rows, phi), (phi, m, team)
+        assert shapes >= {"Exists", "Forall", "Or", "Dep"}
+        assert rebound
