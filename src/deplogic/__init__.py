@@ -41,16 +41,12 @@ from .semantics import (
     Model,
     SearchBudget,
     Team,
-    dep_holds,
-    duplicate,
     equiv_on_small_models,
     eval_term,
     fo_satisfies,
     make_team,
-    restrict,
     satisfies,
     sentence_true,
-    supplement,
 )
 from .normalform import (
     NormalFormError,

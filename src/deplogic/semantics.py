@@ -1,5 +1,7 @@
 """Team semantics over finite models.
 
+`Team` and `Assignment` are only the form in which teams enter and leave
+the module; every team operation runs on int bitmasks over numbered rows.
 `satisfies` is the reference: a brute-force team search in which
 disjunction enumerates complementary splits of the team (sound by downward
 closure) and existential quantification enumerates supplement functions
@@ -25,7 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .normalform import NormalFormSentence, to_normal_form
 from .syntax import (
@@ -50,7 +52,7 @@ from .syntax import (
     infer_vocabulary,
     is_first_order,
     is_sentence,
-    subformulas,
+    operands,
 )
 
 
@@ -67,7 +69,8 @@ class NotFirstOrderError(SemanticsError):
 
 
 class TeamError(SemanticsError):
-    """Malformed team operation (domain mismatch, partial supplement map)."""
+    """Malformed team: a row's domain differs, a variable is mapped twice, or
+    a value lies outside the model."""
 
 
 class FreeVariableError(SemanticsError):
@@ -98,25 +101,9 @@ class Assignment:
             raise TeamError("assignment maps a variable twice")
         object.__setattr__(self, "items", items)
 
-    @staticmethod
-    def of(mapping: Mapping[str, int]) -> "Assignment":
-        return Assignment(tuple(mapping.items()))
-
     @property
     def variables(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.items)
-
-    def value(self, x: str) -> int:
-        for v, a in self.items:
-            if v == x:
-                return a
-        raise UnboundVariableError(f"variable {x} is not assigned")
-
-    def extended(self, x: str, a: int) -> "Assignment":
-        return Assignment(tuple((v, b) for v, b in self.items if v != x) + ((x, a),))
-
-    def restricted(self, variables: frozenset[str]) -> "Assignment":
-        return Assignment(tuple((v, a) for v, a in self.items if v in variables))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.items)
@@ -148,7 +135,7 @@ class Team:
 
 def make_team(variables: Iterable[str], rows: Iterable[Mapping[str, int]]) -> Team:
     """Convenience constructor from plain dicts."""
-    return Team(frozenset(variables), frozenset(Assignment.of(r) for r in rows))
+    return Team(frozenset(variables), frozenset(Assignment(tuple(r.items())) for r in rows))
 
 
 EMPTY_DOMAIN_SINGLETON = Team(frozenset(), frozenset((Assignment(),)))
@@ -308,19 +295,6 @@ def _compile_atom(m: Model, phi: Formula, slots: Mapping[str, int]) -> _Code:
     return lambda env: tuple([f(env) for f in args]) in tuples
 
 
-def _operands(phi: Formula) -> list[Formula]:
-    """The operands of a chain of phi's connective, any bracketing, left to
-    right."""
-    out, stack = [], [phi]
-    while stack:
-        f = stack.pop()
-        if type(f) is type(phi):
-            stack.extend(reversed(subformulas(f)))
-        else:
-            out.append(f)
-    return out
-
-
 def _compile(m: Model, phi: Formula, slots: Mapping[str, int]) -> tuple[_Code, int]:
     """The code of a first-order formula whose free variables have the slots
     0, ..., len(slots) - 1, and the length of the environment it needs: one
@@ -331,7 +305,7 @@ def _compile(m: Model, phi: Formula, slots: Mapping[str, int]) -> tuple[_Code, i
     def go(f: Formula, slots: Mapping[str, int], depth: int) -> _Code:
         nonlocal width
         if isinstance(f, (And, Or)):
-            parts = [go(p, slots, depth) for p in _operands(f)]
+            parts = [go(p, slots, depth) for p in operands(f)]
             stop = isinstance(f, Or)
 
             def chain(env: list[int]) -> bool:
@@ -397,58 +371,6 @@ def fo_satisfies(m: Model, s: Assignment, phi: Formula) -> bool:
     slots = _slots(s.variables)
     code, width = _compile(m, phi, slots)
     return code(_env(s, slots, width))
-
-
-# ---------------------------------------------------------------------------
-# Team algebra
-
-def dep_holds(m: Model, team: Team, terms: tuple[Term, ...]) -> bool:
-    """Dependence-atom satisfaction: the last term is a function of the rest."""
-    if not terms:
-        return True
-    slots = _slots(team.variables)
-    *args, last = [_compile_term(m, t, slots) for t in terms]
-    groups: dict[tuple[int, ...], int] = {}
-    for s in team.rows:
-        env = _env(s, slots, len(slots))
-        key = tuple([f(env) for f in args])
-        value = last(env)
-        if groups.setdefault(key, value) != value:
-            return False
-    return True
-
-
-def duplicate(team: Team, m: Model, x: str) -> Team:
-    """The duplicated team: every row extended with every domain element at x."""
-    rows = frozenset(
-        s.extended(x, a) for s in team.rows for a in range(m.size)
-    )
-    return Team(team.variables | {x}, rows)
-
-
-SupplementFunction = Union[Mapping[Assignment, int], Callable[[Assignment], int]]
-
-
-def supplement(team: Team, choice: SupplementFunction, x: str) -> Team:
-    """The supplemented team: each row extended at x by a chosen element."""
-    rows = []
-    for s in team.rows:
-        if callable(choice):
-            value = choice(s)
-        else:
-            if s not in choice:
-                raise TeamError("supplement function undefined on a team row")
-            value = choice[s]
-        rows.append(s.extended(x, value))
-    return Team(team.variables | {x}, frozenset(rows))
-
-
-def restrict(team: Team, variables: frozenset[str] | set[str]) -> Team:
-    """Pointwise restriction of every row; rows may merge."""
-    vs = frozenset(variables)
-    if not vs <= team.variables:
-        raise TeamError("restriction variables exceed the team domain")
-    return Team(vs, frozenset(s.restricted(vs) for s in team.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -805,18 +727,27 @@ def enumerate_models(voc: Vocabulary, size: int) -> Iterator[Model]:
                 )
 
 
+def _all_rows(size: int, names: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """Every row over names with values below size, in ascending order."""
+    return list(itertools.product(range(size), repeat=len(names)))
+
+
+def _team(names: tuple[str, ...], rows: list[tuple[int, ...]], mask: int) -> Team:
+    """The team of the rows whose bits are set in mask."""
+    return Team(
+        frozenset(names),
+        frozenset(Assignment(tuple(zip(names, rows[i]))) for i in _members(mask)),
+    )
+
+
 def enumerate_teams(size: int, variables: frozenset[str]) -> Iterator[Team]:
-    """All teams over the given variables with values below size."""
-    vs = sorted(variables)
-    assignments = [
-        Assignment(tuple(zip(vs, values)))
-        for values in itertools.product(range(size), repeat=len(vs))
-    ]
-    for mask in range(1 << len(assignments)):
-        yield Team(
-            frozenset(vs),
-            frozenset(a for i, a in enumerate(assignments) if mask >> i & 1),
-        )
+    """All teams over the given variables with values below size.  The
+    mask-th team holds the rows whose bits are set in mask, rows numbered
+    in ascending order as in `equiv_on_small_models`."""
+    names = tuple(sorted(variables))
+    rows = _all_rows(size, names)
+    for mask in range(1 << len(rows)):
+        yield _team(names, rows, mask)
 
 
 def equiv_on_small_models(
@@ -828,18 +759,21 @@ def equiv_on_small_models(
     """Exhaustively compare two formulas on all models up to max_size.
 
     The vocabulary is inferred from the formulas' symbol uses.  Every team
-    over the union of free variables is tried, in `enumerate_models` and
+    over the union of free variables is tried as a mask over all rows of
+    the model, masks ascending, which is `enumerate_models` and then
     `enumerate_teams` order; the first disagreement is reported.  Both
     formulas are compiled once per model over all its rows, so a subformula
     is decided at most once per team of a model.  Each formula on each team
     gets the whole budget; what an earlier team of the same model decided
-    is reused at no cost.
+    is reused at no cost.  max_size must be at least 1.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     voc = infer_vocabulary(phi).merged(infer_vocabulary(psi))
     names = tuple(sorted(free_vars(phi) | free_vars(psi)))
     counter = _Counter(budget or SearchBudget())
     for size in range(1, max_size + 1):
-        rows = list(itertools.product(range(size), repeat=len(names)))
+        rows = _all_rows(size, names)
         for m in enumerate_models(voc, size):
             compiler = _TeamCompiler(m, counter)
             space = compiler.space(names, rows)
@@ -850,8 +784,5 @@ def equiv_on_small_models(
                 counter.reset()
                 b = right(mask)
                 if a != b:
-                    # The mask-th team of `enumerate_teams`.
-                    rows_of = [Assignment(tuple(zip(names, rows[i]))) for i in _members(mask)]
-                    team = Team(frozenset(names), frozenset(rows_of))
-                    return EquivResult(False, Counterexample(m, team, a, b))
+                    return EquivResult(False, Counterexample(m, _team(names, rows, mask), a, b))
     return EquivResult(True)

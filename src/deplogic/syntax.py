@@ -444,21 +444,26 @@ def conjuncts(phi: Formula) -> list[Formula]:
     return out
 
 
+def operands(phi: Formula) -> list[Formula]:
+    """The operands of a chain of phi's connective, any bracketing, left to
+    right: a & ((b & c) & d) gives [a, b, c, d]."""
+    out, stack = [], [phi]
+    while stack:
+        f = stack.pop()
+        if type(f) is type(phi):
+            stack.extend(reversed(subformulas(f)))
+        else:
+            out.append(f)
+    return out
+
+
 def nest_right(phi: Formula) -> Formula:
     """The formula with every chain of & re-nested to the right, however it
     was bracketed.  & is associative under team semantics, so the result is
     equivalent to the input."""
     if not isinstance(phi, And):
         return rebuild(phi, [nest_right(p) for p in subformulas(phi)])
-    leaves: list[Formula] = []
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack.extend(reversed(subformulas(f)))
-        else:
-            leaves.append(nest_right(f))
-    return conjoin(leaves)
+    return conjoin([nest_right(f) for f in operands(phi)])
 
 
 def infer_vocabulary(phi: Formula) -> Vocabulary:

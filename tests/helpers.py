@@ -38,6 +38,7 @@ VOC_R1 = Vocabulary(relations={"R": 1})
 VOC_R1C = Vocabulary(relations={"R": 1}, constants={"c"})
 VOC_R1S1C = Vocabulary(relations={"R": 1, "S": 1}, constants={"c"})
 VOC_F1 = Vocabulary(functions={"f": 1})
+VOC_F1C = Vocabulary(functions={"f": 1}, constants={"c"})
 
 SMALL_BUDGET = SearchBudget(200_000)
 

@@ -90,6 +90,10 @@ class TestExitCodes:
                               EXIT_USAGE, None),
         "equiv missing file": (["equiv", "--vocab", X, "--f1", "x = c", "--f2", "c = x"], None,
                                EXIT_USAGE, None),
+        "equiv max size 0": (["equiv", "--f1", "dep(x)", "--f2", "x = x", "--max-size", "0"], None,
+                             EXIT_USAGE, None),
+        "equiv max size -3": (["equiv", "--f1", "dep(x)", "--f2", "x = x", "--max-size", "-3"],
+                              None, EXIT_USAGE, None),
         "chain": (["chain", "--model", M, "--formula", EXAMPLE3_TEXT, "--up-to", "4"], None,
                   EXIT_OK, "true true false false\n"),
         "chain parse error": (["chain", "--model", M, "--formula", BROKEN, "--up-to", "2"], None,

@@ -1,9 +1,13 @@
-"""Every module of the package other than `__init__` uses each name it imports.
+"""Every module of the package other than `__init__` uses each name it
+imports, and every module uses each private name it defines at module level.
 
-The check reads the source with `ast`: an imported name counts as used when
-it occurs as a name anywhere in the module, including inside a string
-annotation.  `__init__.py` is left out, since its imports are the package's
-exports."""
+The checks read the source with `ast`: a name counts as used when it occurs
+as a name in the module, including inside a string annotation.
+`__init__.py` is left out of the import check, since its imports are the
+package's exports.  A private name (`_name`, not `__name__`) defined by a
+module-level function, class or assignment must be read by another
+module-level statement; a private helper that only calls itself, or that
+nothing calls, is dead code."""
 
 import ast
 from pathlib import Path
@@ -14,18 +18,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deplogic"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    imported: dict[str, int] = {}
+def used_names(tree: ast.AST) -> set[str]:
+    """The names read in tree, string annotations included."""
     used: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
@@ -33,7 +30,46 @@ def unused_imports(source: str) -> list[str]:
             except SyntaxError:
                 continue
             used.update(n.id for n in ast.walk(annotation) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = used_names(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def dead_private_names(source: str) -> list[str]:
+    body = ast.parse(source).body
+    uses = [used_names(node) for node in body]
+    dead = []
+    for i, node in enumerate(body):
+        for name in _defined(node):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in used for j, used in enumerate(uses) if j != i):
+                dead.append(f"{name} (line {node.lineno})")
+    return dead
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -41,6 +77,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text()) == []
+
+
 def test_check_catches_an_unused_import():
     source = "from typing import Optional, Union\n\ndef f(x: Union[int, str]): return x\n"
     assert unused_imports(source) == ["Optional (line 1)"]
+
+
+def test_check_catches_a_dead_private_name():
+    source = (
+        "def _used(): return 1\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "_TABLE: dict = {}\n"
+        "_A, _B = 1, 2\n"
+        "class _Node: pass\n"
+        "def __getattr__(name): return _A\n"
+        "def f() -> '_Node': return _used()\n"
+    )
+    assert dead_private_names(source) == ["_recursive (line 2)", "_TABLE (line 3)", "_B (line 4)"]

@@ -24,8 +24,6 @@ from deplogic import (
     Var,
     Vocabulary,
     build_approximation,
-    dep_holds,
-    duplicate,
     equiv_on_small_models,
     eval_term,
     fo_satisfies,
@@ -34,10 +32,8 @@ from deplogic import (
     is_first_order,
     make_team,
     parse_formula,
-    restrict,
     satisfies,
     sentence_true,
-    supplement,
     to_normal_form,
 )
 from deplogic.normalform import reassemble
@@ -49,7 +45,6 @@ from deplogic.semantics import (
     NotFirstOrderError,
     SemanticsError,
     SentenceError,
-    TeamError,
     UnboundVariableError,
     enumerate_models,
     enumerate_teams,
@@ -62,6 +57,7 @@ from helpers import (
     THETA1_TEXT,
     VOC_C,
     VOC_F1,
+    VOC_F1C,
     VOC_R1C,
     VOC_R1S1C,
     random_fo_formula,
@@ -80,7 +76,7 @@ MODEL_PR = Model(3, relations={"P": {(0,)}, "R": {(0, 1), (0, 2), (1, 2), (2, 0)
 
 
 def asg(**kwargs):
-    return Assignment.of(kwargs)
+    return Assignment(tuple(kwargs.items()))
 
 
 class TestEvalTerm:
@@ -179,68 +175,22 @@ class TestDepHolds:
 
     def test_empty_atom_universally_true(self):
         team = make_team(["x"], [{"x": 0}, {"x": 1}])
-        assert dep_holds(self.MODEL, team, ())
+        assert satisfies(self.MODEL, team, Dep(()))
 
     def test_constancy_fails_on_two_values(self):
         team = make_team(["x"], [{"x": 0}, {"x": 1}])
-        assert not dep_holds(self.MODEL, team, (x,))
+        assert not satisfies(self.MODEL, team, Dep((x,)))
 
     def test_binary_dependence_hand_enumerated(self):
         # two rows agree on x but differ on y: dependence fails
         team1 = make_team(["x", "y"], [{"x": 0, "y": 1}, {"x": 0, "y": 2}])
-        assert not dep_holds(self.MODEL, team1, (x, y))
+        assert not satisfies(self.MODEL, team1, Dep((x, y)))
         # distinct x-values: vacuously functional
         team2 = make_team(["x", "y"], [{"x": 0, "y": 1}, {"x": 1, "y": 1}])
-        assert dep_holds(self.MODEL, team2, (x, y))
+        assert satisfies(self.MODEL, team2, Dep((x, y)))
 
     def test_empty_team_vacuous(self):
-        assert dep_holds(self.MODEL, Team(frozenset({"x"}), frozenset()), (x,))
-
-
-class TestTeamAlgebra:
-    MODEL = Model(2)
-
-    def test_duplicate_from_empty_assignment(self):
-        team = Team(frozenset(), frozenset({Assignment()}))
-        out = duplicate(team, self.MODEL, "x")
-        assert out == make_team(["x"], [{"x": 0}, {"x": 1}])
-
-    def test_duplicate_empty_team(self):
-        team = Team(frozenset(), frozenset())
-        assert duplicate(team, self.MODEL, "x").rows == frozenset()
-
-    def test_duplicate_overwrites(self):
-        team = make_team(["x"], [{"x": 0}])
-        assert duplicate(team, self.MODEL, "x") == make_team(
-            ["x"], [{"x": 0}, {"x": 1}]
-        )
-
-    def test_supplement_by_callable(self):
-        team = make_team(["y"], [{"y": 0}, {"y": 1}])
-        out = supplement(team, lambda s: s.value("y"), "x")
-        assert out == make_team(["x", "y"], [{"y": 0, "x": 0}, {"y": 1, "x": 1}])
-
-    def test_supplement_empty_team_with_empty_function(self):
-        team = Team(frozenset(), frozenset())
-        assert supplement(team, {}, "x").rows == frozenset()
-
-    def test_supplement_partial_map_rejected(self):
-        team = make_team(["y"], [{"y": 0}])
-        with pytest.raises(TeamError):
-            supplement(team, {}, "x")
-
-    def test_restrict_merges_rows(self):
-        team = make_team(["x", "y"], [{"x": 0, "y": 1}, {"x": 0, "y": 0}])
-        assert restrict(team, {"x"}) == make_team(["x"], [{"x": 0}])
-
-    def test_restrict_to_full_domain_is_identity(self):
-        team = make_team(["x", "y"], [{"x": 0, "y": 1}])
-        assert restrict(team, {"x", "y"}) == team
-
-    def test_restrict_beyond_domain_rejected(self):
-        team = make_team(["x"], [{"x": 0}])
-        with pytest.raises(TeamError):
-            restrict(team, {"x", "y"})
+        assert satisfies(self.MODEL, Team(frozenset({"x"}), frozenset()), Dep((x,)))
 
 
 class TestSatisfies:
@@ -474,24 +424,33 @@ class TestTeamSearchReference:
     no pruning and no memo."""
 
     def test_random_formulas_on_every_small_team(self):
-        rng = random.Random(11)
-        shapes: set[str] = set()
-        rebound = checked = 0
-        while checked < 60:
-            phi = random_formula(rng, VOC_R1C, ["x", "y"], depth=3, rebind=rng.random() < 0.3)
-            searched = [f for f, _ in walk(phi) if not is_first_order(f)]
-            quantifiers = [f for f in searched if isinstance(f, (Exists, Forall))]
-            # Two nested quantifiers over four rows already make the
-            # reference try 2**8 supplements per team.
-            if not searched or len(quantifiers) > 2:
-                continue
-            shapes |= {type(f).__name__ for f in searched}
-            rebound += any(f.var in ("x", "y") for f in quantifiers)
-            checked += 1
-            for size in (1, 2):
-                for m in enumerate_models(VOC_R1C, size):
-                    for team in enumerate_teams(size, frozenset({"x", "y"})):
-                        rows = [s.as_dict() for s in team.sorted_rows()]
-                        assert satisfies(m, team, phi) == team_holds(m, rows, phi), (phi, m, team)
-        assert shapes >= {"Exists", "Forall", "Or", "Dep"}
-        assert rebound
+        # VOC_F1C puts function and constant terms into dependence atoms.
+        for voc in (VOC_R1C, VOC_F1C):
+            rng = random.Random(11)
+            shapes: set[str] = set()
+            rebound = checked = 0
+            while checked < 60:
+                phi = random_formula(rng, voc, ["x", "y"], depth=3, rebind=rng.random() < 0.3)
+                searched = [f for f, _ in walk(phi) if not is_first_order(f)]
+                quantifiers = [f for f in searched if isinstance(f, (Exists, Forall))]
+                # Two nested quantifiers over four rows already make the
+                # reference try 2**8 supplements per team.
+                if not searched or len(quantifiers) > 2:
+                    continue
+                shapes |= {type(f).__name__ for f in searched}
+                shapes |= {
+                    f"dep over {type(t).__name__}"
+                    for f in searched if isinstance(f, Dep) for t in f.args
+                }
+                rebound += any(f.var in ("x", "y") for f in quantifiers)
+                checked += 1
+                for size in (1, 2):
+                    for m in enumerate_models(voc, size):
+                        for team in enumerate_teams(size, frozenset({"x", "y"})):
+                            rows = [s.as_dict() for s in team.sorted_rows()]
+                            assert satisfies(m, team, phi) == team_holds(m, rows, phi), (
+                                phi, m, team
+                            )
+            assert shapes >= {"Exists", "Forall", "Or", "Dep"}, voc
+            assert rebound, voc
+        assert shapes >= {"dep over Apply", "dep over Const"}

@@ -22,11 +22,10 @@ from deplogic import (
     fo_satisfies,
     free_vars,
     is_first_order,
-    restrict,
+    make_team,
     satisfies,
     sentence_true,
     substitute,
-    supplement,
 )
 from deplogic.normalform import reassemble
 
@@ -83,7 +82,8 @@ def test_locality(instance):
         for view in candidates:
             if not view <= team.variables:
                 continue
-            assert _sat(model, team, phi) == _sat(model, restrict(team, view), phi)
+            restricted = make_team(view, [{v: s.as_dict()[v] for v in view} for s in team.rows])
+            assert _sat(model, team, phi) == _sat(model, restricted, phi)
     except BudgetExceededError:
         return
 
@@ -112,8 +112,9 @@ def test_substitution_lemma(instance):
         substituted = substitute(phi, term, variable)
     except CaptureError:
         return
-    supplemented = supplement(
-        team, lambda s: eval_term(model, s, term), variable
+    supplemented = make_team(
+        team.variables | {variable},
+        [{**s.as_dict(), variable: eval_term(model, s, term)} for s in team.rows],
     )
     try:
         assert _sat(model, team, substituted) == _sat(model, supplemented, phi)
