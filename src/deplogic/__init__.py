@@ -32,7 +32,7 @@ from .syntax import (
     is_sentence,
     substitute,
 )
-from .diagnostics import Diagnostic, ParseError, SourceText, Span
+from .diagnostics import Diagnostic, ParseError, Span
 from .semantics import (
     Assignment,
     BudgetExceededError,

@@ -14,14 +14,13 @@ from typing import Optional
 from .syntax import (
     Dep,
     Eq,
-    Exists,
-    Forall,
     Formula,
     Not,
     Or,
     Var,
     conjoin,
     fresh_variable,
+    quantify,
     rename_free,
 )
 from .normalform import DepAtomSpec, NormalFormSentence, reassemble
@@ -66,14 +65,6 @@ def _guard(
     return Or(Not(conjoin(antecedents)), consequent)
 
 
-def _wrap_round(nf: NormalFormSentence, mapping: dict[str, str], body: Formula) -> Formula:
-    for y in reversed(nf.existentials):
-        body = Exists(mapping[y], body)
-    for x in reversed(nf.universals):
-        body = Forall(mapping[x], body)
-    return body
-
-
 def _unroll(nf: NormalFormSentence, n: int, keep_atoms: bool) -> Formula:
     """n rounds of the prefix, each over its renamed matrix and the guards
     against every earlier round; with keep_atoms, the innermost round also
@@ -94,7 +85,7 @@ def _unroll(nf: NormalFormSentence, n: int, keep_atoms: bool) -> Formula:
             parts.extend(_guard(g, rounds[j], current) for g in guards)
         if block is not None:
             parts.append(block)
-        block = _wrap_round(nf, current, conjoin(parts))
+        block = quantify([(kind, current[v]) for kind, v in nf.prefix], conjoin(parts))
     assert block is not None
     return block
 

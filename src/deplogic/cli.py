@@ -3,17 +3,19 @@
 Exit codes: 0 success/true/accepted, 1 false/rejected/counterexample,
 2 usage or input errors, including formulas nested too deeply to read,
 evaluate or print within Python's recursion limit, 3 budget exceeded.
+
+Only the commands that search take --budget (eval, equiv, chain), and only
+the commands that print a formula take --ascii (parse, normalize, approx).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .diagnostics import ParseError, SourceText
+from .diagnostics import ParseError
 from .normalform import NormalFormError, to_normal_form, reassemble
 from .approximation import approximation_chain_check, build_approximation
 from .proofs import check_proof
@@ -43,8 +45,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV_VAR = "DEPLOGIC_BUDGET"
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
@@ -52,23 +52,15 @@ class CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> SourceText:
+def _read(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise CliError(f"no such file: {path}")
-    return SourceText(p.read_text(), str(p))
+    return p.read_text()
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    if args.budget is not None:
-        return SearchBudget(args.budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return SearchBudget(int(env))
-        except ValueError:
-            raise CliError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
-    return SearchBudget()
+    return SearchBudget() if args.budget is None else SearchBudget(args.budget)
 
 
 def _vocabulary(args: argparse.Namespace) -> Vocabulary:
@@ -166,34 +158,42 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formula: bool = True, vocab: bool = True) -> None:
+    def common(
+        p: argparse.ArgumentParser,
+        formula: bool = True,
+        vocab: bool = True,
+        prints: bool = False,
+        searches: bool = False,
+    ) -> None:
         if formula:
             p.add_argument("--formula", required=True, help="formula text")
         if vocab:
             p.add_argument("--vocab", help="vocabulary declarations file")
-        p.add_argument(
-            "--ascii",
-            action="store_true",
-            help="print with forall/exists/&/|/~ instead of unicode symbols",
-        )
-        p.add_argument("--budget", type=int, help="search budget in choice points")
+        if prints:
+            p.add_argument(
+                "--ascii",
+                action="store_true",
+                help="print with forall/exists/&/|/~ instead of unicode symbols",
+            )
+        if searches:
+            p.add_argument("--budget", type=int, help="search budget in choice points")
 
     p = sub.add_parser("parse", help="parse and reprint a formula")
-    common(p)
+    common(p, prints=True)
     p.set_defaults(run=cmd_parse)
 
     p = sub.add_parser("eval", help="evaluate a formula on a model (and team)")
-    common(p, vocab=False)
+    common(p, vocab=False, searches=True)
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--team", help="team file; omitted: sentence truth")
     p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("normalize", help="print the normal form of a sentence")
-    common(p)
+    common(p, prints=True)
     p.set_defaults(run=cmd_normalize)
 
     p = sub.add_parser("approx", help="print the n-th first-order approximation")
-    common(p)
+    common(p, prints=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(run=cmd_approx)
 
@@ -204,14 +204,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_check_proof)
 
     p = sub.add_parser("equiv", help="compare two formulas on all small models")
-    common(p, formula=False)
+    common(p, formula=False, searches=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--max-size", type=int, default=3)
     p.set_defaults(run=cmd_equiv)
 
     p = sub.add_parser("chain", help="truth values of approximations 1..n")
-    common(p, vocab=False)
+    common(p, vocab=False, searches=True)
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--up-to", type=int, required=True)
     p.set_defaults(run=cmd_chain)

@@ -1,5 +1,4 @@
-"""Source text wrappers and diagnostics shared by the parsers and the
-proof kernel."""
+"""Diagnostics shared by the parsers and the proof kernel."""
 
 from __future__ import annotations
 
@@ -8,14 +7,8 @@ from typing import Optional
 
 
 @dataclass(frozen=True)
-class SourceText:
-    text: str
-    origin: str = "<inline>"
-
-
-@dataclass(frozen=True)
 class Span:
-    """1-based line, 0-based column range within a SourceText."""
+    """1-based line, 0-based column range within a source text."""
 
     line: int
     col_start: int

@@ -5,6 +5,14 @@ dependence atoms), prenexing, hoisting of dependence atoms out of the matrix
 into a fresh existential block, and conversion of the mixed quantifier prefix
 into forall*-exists* shape, trading each crossed universal for a dependence
 atom that pins the moved witness to the variables already in scope.
+
+Each stage is public: preprocess, to_prenex, hoist_dep_atoms and
+pull_existentials_left.  to_normal_form runs the same stages, except that
+it first reads off a sentence already of the normal shape, and it picks
+hoisting names that avoid every variable of the sentence rather than only
+those of the matrix.  A quantifier prefix is a syntax.Prefix, a list of
+(Forall | Exists, variable) pairs, outermost first; syntax.quantify builds
+a formula from one and syntax.strip_prefix takes it apart.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .syntax import (
     Formula,
     Not,
     Or,
-    Rel,
+    Prefix,
     Term,
     Var,
     all_vars,
@@ -33,7 +41,9 @@ from .syntax import (
     is_sentence,
     map_terms,
     map_vars,
+    quantify,
     rebuild,
+    strip_prefix,
     subformulas,
 )
 
@@ -95,19 +105,20 @@ class NormalFormSentence:
                     f"{sorted(set(w) - allowed)}"
                 )
 
+    @property
+    def prefix(self) -> Prefix:
+        """The universal block, then the existential block."""
+        return [(Forall, x) for x in self.universals] + [
+            (Exists, y) for y in self.existentials
+        ]
+
 
 def reassemble(nf: NormalFormSentence) -> Formula:
     """The sentence the normal form denotes: prefix over (deps & matrix)."""
     parts: list[Formula] = [
         Dep(tuple(Var(v) for v in w) + (Var(y),)) for w, y in nf.dep_atoms
     ]
-    parts.append(nf.matrix)
-    body = conjoin(parts)
-    for y in reversed(nf.existentials):
-        body = Exists(y, body)
-    for x in reversed(nf.universals):
-        body = Forall(x, body)
-    return body
+    return quantify(nf.prefix, conjoin(parts + [nf.matrix]))
 
 
 def split_dep_atoms(body: Formula) -> tuple[list[DepAtomSpec], Formula]:
@@ -137,18 +148,15 @@ def match_normal_form(phi: Formula) -> NormalFormSentence:
     """Parse a formula of the normal shape, a universal block, an
     existential block, then dependence atoms and a matrix conjoined in any
     bracketing, into its parts."""
-    universals: list[str] = []
-    existentials: list[str] = []
-    while isinstance(phi, Forall):
-        universals.append(phi.var)
-        phi = phi.body
-    while isinstance(phi, Exists):
-        existentials.append(phi.var)
-        phi = phi.body
-    atoms, matrix = split_dep_atoms(phi)
+    universals, rest = strip_prefix(phi, Forall)
+    existentials, body = strip_prefix(rest, Exists)
+    atoms, matrix = split_dep_atoms(body)
     try:
         return NormalFormSentence(
-            tuple(universals), tuple(existentials), tuple(atoms), matrix
+            tuple(v for _, v in universals),
+            tuple(v for _, v in existentials),
+            tuple(atoms),
+            matrix,
         )
     except NormalFormError as e:
         raise ShapeError(str(e)) from e
@@ -203,39 +211,25 @@ def _unnest_atom(args: tuple[Term, ...], used: set[str]) -> Formula:
 
 def to_prenex(phi: Formula) -> Formula:
     """Equivalent prenex formula; the left operand's prefix comes first."""
-    prefix, matrix = _prenex(phi)
-    return _wrap_prefix(prefix, matrix)
+    return quantify(*_prenex(phi))
 
 
-Quantifier = tuple[str, str]  # ("forall" | "exists", variable)
+_DUAL = {Forall: Exists, Exists: Forall}
 
 
-def _wrap_prefix(prefix: list[Quantifier], matrix: Formula) -> Formula:
-    out = matrix
-    for kind, v in reversed(prefix):
-        out = Forall(v, out) if kind == "forall" else Exists(v, out)
-    return out
-
-
-def _prenex(phi: Formula) -> tuple[list[Quantifier], Formula]:
-    if isinstance(phi, (Rel, Eq, Dep)):
-        return [], phi
+def _prenex(phi: Formula) -> tuple[Prefix, Formula]:
     if isinstance(phi, Not):
         prefix, matrix = _prenex(phi.body)
-        flipped = [
-            ("exists" if kind == "forall" else "forall", v) for kind, v in prefix
-        ]
-        return flipped, Not(matrix)
+        return [(_DUAL[kind], v) for kind, v in prefix], Not(matrix)
     if isinstance(phi, (And, Or)):
         lp, lm = _prenex(phi.left)
         rp, rm = _prenex(phi.right)
         return lp + rp, type(phi)(lm, rm)
-    if isinstance(phi, Exists):
-        prefix, matrix = _prenex(phi.body)
-        return [("exists", phi.var)] + prefix, matrix
-    assert isinstance(phi, Forall)
-    prefix, matrix = _prenex(phi.body)
-    return [("forall", phi.var)] + prefix, matrix
+    prefix, body = strip_prefix(phi)
+    if not prefix:
+        return [], phi
+    inner, matrix = _prenex(body)
+    return prefix + inner, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +239,13 @@ def hoist_dep_atoms(theta: Formula) -> Formula:
     """Equivalent form exists z... (deps & core) for a quantifier-free input."""
     if not is_quantifier_free(theta):
         raise ShapeError("hoisting expects a quantifier-free formula")
-    used = set(all_vars(theta))
-    zs, atoms, core = _hoist(theta, used)
-    return _assemble_hoisted(zs, atoms, core)
+    zs, atoms, core = _hoist(theta, set(all_vars(theta)))
+    return quantify(zs, conjoin(atoms + [core]))
 
 
-def _assemble_hoisted(zs: list[str], atoms: list[Dep], core: Formula) -> Formula:
-    body = conjoin(list(atoms) + [core]) if atoms else core
-    for z in reversed(zs):
-        body = Exists(z, body)
-    return body
-
-
-def _hoist(theta: Formula, used: set[str]) -> tuple[list[str], list[Dep], Formula]:
+def _hoist(theta: Formula, used: set[str]) -> tuple[Prefix, list[Dep], Formula]:
+    """The fresh existentials, the dependence atoms over them and the
+    first-order core that together replace theta's dependence atoms."""
     if is_first_order(theta):
         return [], [], theta
     if isinstance(theta, Dep):
@@ -269,7 +257,7 @@ def _hoist(theta: Formula, used: set[str]) -> tuple[list[str], list[Dep], Formul
         atom = Dep(tuple(theta.args[:-1]) + (Var(z),))
         # dep() hoists to the degenerate pattern exists z (dep(z) & z = z).
         target = theta.args[-1] if theta.args else Var(z)
-        return [z], [atom], Eq(Var(z), target)
+        return [(Exists, z)], [atom], Eq(Var(z), target)
     if isinstance(theta, Or):
         lz, la, lc = _hoist(theta.left, used)
         rz, ra, rc = _hoist(theta.right, used)
@@ -290,35 +278,20 @@ def pull_existentials_left(phi: Formula) -> NormalFormSentence:
     prepended; an existential crossing h pending universals picks up one
     dependence atom over the variables still free in its scope.
     """
-    prefix: list[Quantifier] = []
-    body = phi
-    while isinstance(body, (Exists, Forall)):
-        prefix.append(
-            ("exists" if isinstance(body, Exists) else "forall", body.var)
-        )
-        body = body.body
-
+    prefix, body = strip_prefix(phi)
     dep_list, matrix = split_dep_atoms(body)
     universals: list[str] = []
     existentials: list[str] = []
-
-    def block_free_vars() -> frozenset[str]:
-        bound = set(universals) | set(existentials)
-        fv = set(free_vars(matrix))
-        for w, y in dep_list:
-            fv.update(w)
-            fv.add(y)
-        return frozenset(fv - bound)
-
+    # The block's variables that the prefix processed so far does not bind.
+    unbound = set(free_vars(matrix)).union(*(w + (y,) for w, y in dep_list))
     for kind, v in reversed(prefix):
-        if kind == "forall":
+        unbound.discard(v)
+        if kind is Forall:
             universals.insert(0, v)
-        elif not universals:
-            existentials.insert(0, v)
-        else:
-            context = sorted(block_free_vars() - {v})
-            dep_list.insert(0, (tuple(context), v))
-            existentials.insert(0, v)
+            continue
+        if universals:
+            dep_list.insert(0, (tuple(sorted(unbound)), v))
+        existentials.insert(0, v)
 
     return NormalFormSentence(
         tuple(universals), tuple(existentials), tuple(dep_list), matrix
@@ -341,8 +314,9 @@ def to_normal_form(phi: Formula) -> NormalFormSentence:
         return match_normal_form(clean)
     except ShapeError:
         pass
+    # Hoisting names must avoid every variable of the sentence, not only
+    # those of the matrix, so the stages are not composed through
+    # hoist_dep_atoms.
     prefix, matrix = _prenex(clean)
-    used = set(all_vars(clean))
-    zs, atoms, core = _hoist(matrix, used)
-    hoisted = _assemble_hoisted(zs, atoms, core)
-    return pull_existentials_left(_wrap_prefix(prefix, hoisted))
+    zs, atoms, core = _hoist(matrix, set(all_vars(clean)))
+    return pull_existentials_left(quantify(prefix + zs, conjoin(atoms + [core])))

@@ -38,6 +38,7 @@ from .syntax import (
     free_vars,
     is_first_order,
     nest_right,
+    strip_prefix,
     substitute,
     term_vars,
     CaptureError,
@@ -490,12 +491,10 @@ def _check_unnest(c, ps, ds, ctx):
 def _parse_dep_block(phi: Formula) -> tuple[list[str], list[DepAtomSpec], Formula]:
     """Split exists y1..yn (dep-atoms & core); requires one atom per bound
     variable, each determining its variable, core without dependence atoms."""
-    bound: list[str] = []
-    while isinstance(phi, Exists):
-        bound.append(phi.var)
-        phi = phi.body
+    prefix, body = strip_prefix(phi, Exists)
+    bound = [v for _, v in prefix]
     try:
-        atoms, core = split_dep_atoms(phi)
+        atoms, core = split_dep_atoms(body)
     except ShapeError as e:
         raise RuleSchemaError(str(e)) from e
     if len(atoms) != len(bound):

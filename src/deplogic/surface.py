@@ -11,9 +11,9 @@ canonical: parse(print(ast)) is structurally identical to ast.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, NamedTuple, TypeVar, Union
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .diagnostics import Diagnostic, ParseError, SourceText, Span
+from .diagnostics import Diagnostic, ParseError, Span
 from .syntax import (
     EMPTY_VOCABULARY,
     KEYWORDS,
@@ -70,11 +70,10 @@ class _Token(NamedTuple):
         return ParseError(Diagnostic(message, Span(self.line, self.col, end)))
 
 
-def _tokenize(src: Union[SourceText, str]) -> Iterator[list[_Token]]:
+def _tokenize(text: str) -> Iterator[list[_Token]]:
     """For each line that holds a token: its tokens, then an NL token where
     its text ends.  Last, an EOF token at the end of the last line.  Lines
     are read as they are asked for, so only one is held at a time."""
-    text = src.text if isinstance(src, SourceText) else src
     lines = text.splitlines() or [""]
     for line_no, line in enumerate(lines, start=1):
         tokens: list[_Token] = []
@@ -278,7 +277,7 @@ class _Cursor:
         return Var(name)
 
 
-def parse_formula(src: Union[SourceText, str], voc: Vocabulary) -> Formula:
+def parse_formula(src: str, voc: Vocabulary) -> Formula:
     """Parse a formula; identifiers are classified against the vocabulary.
     The formula may span lines."""
     tokens = [t for line in _tokenize(src) for t in line if t.kind != "NL"]
@@ -339,7 +338,7 @@ def print_formula(phi: Formula, unicode_symbols: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Vocabulary files
 
-def parse_vocabulary(src: Union[SourceText, str]) -> Vocabulary:
+def parse_vocabulary(src: str) -> Vocabulary:
     """Declarations only: `relation R/2`, `function f/1`, `constant c`."""
     cursor = _Cursor(_tokenize(src))
     arities: dict[str, dict[str, int]] = {"relation": {}, "function": {}, "constant": {}}
@@ -356,7 +355,7 @@ def parse_vocabulary(src: Union[SourceText, str]) -> Vocabulary:
 # ---------------------------------------------------------------------------
 # Model files
 
-def parse_model(src: Union[SourceText, str]) -> tuple[Vocabulary, Model]:
+def parse_model(src: str) -> tuple[Vocabulary, Model]:
     """Parse a total finite structure.
 
     Format: a `domain <k>` line first, then `constant c = <elt>`,
@@ -447,7 +446,7 @@ def format_model(voc: Vocabulary, m: Model) -> str:
 # ---------------------------------------------------------------------------
 # Team files
 
-def parse_team(src: Union[SourceText, str], m: Model) -> Team:
+def parse_team(src: str, m: Model) -> Team:
     """Parse `vars x y` followed by one whitespace-separated row per line;
     `()` is the one row of a team without variables."""
     cursor = _Cursor(_tokenize(src))
@@ -496,7 +495,7 @@ def format_team(team: Team) -> str:
 # ---------------------------------------------------------------------------
 # Proof scripts
 
-def parse_proof(src: Union[SourceText, str], voc: Vocabulary) -> Proof:
+def parse_proof(src: str, voc: Vocabulary) -> Proof:
     """Parse `<idx>. <formula> <rule> [premises] [discharge <idx list>]` lines."""
     cursor = _Cursor(_tokenize(src), voc)
     steps: list[ProofStep] = []
@@ -537,7 +536,7 @@ def parse_proof(src: Union[SourceText, str], voc: Vocabulary) -> Proof:
     return Proof(tuple(steps))
 
 
-def parse_hypotheses(src: Union[SourceText, str], voc: Vocabulary) -> list[Formula]:
+def parse_hypotheses(src: str, voc: Vocabulary) -> list[Formula]:
     """One formula per line."""
     cursor = _Cursor(_tokenize(src), voc)
     out = []

@@ -218,6 +218,29 @@ class Forall(Formula):
 
 _QUANT = (Exists, Forall)
 
+# A quantifier prefix: (Forall | Exists, variable) pairs, outermost first.
+Prefix = list[tuple[type, str]]
+
+
+def quantify(prefix: Prefix, body: Formula) -> Formula:
+    """The formula that binds each variable of prefix, outermost first,
+    over body."""
+    for kind, v in reversed(prefix):
+        body = kind(v, body)
+    return body
+
+
+def strip_prefix(
+    phi: Formula, kinds: type | tuple[type, ...] = _QUANT
+) -> tuple[Prefix, Formula]:
+    """The leading quantifiers of phi that are instances of kinds, and the
+    formula under them: quantify(*strip_prefix(phi)) == phi."""
+    prefix: Prefix = []
+    while isinstance(phi, kinds):
+        prefix.append((type(phi), phi.var))
+        phi = phi.body
+    return prefix, phi
+
 
 # ---------------------------------------------------------------------------
 # Traversal: the only code that knows which fields of a node are its

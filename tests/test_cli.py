@@ -2,7 +2,7 @@
 
 import pytest
 
-from deplogic.cli import BUDGET_ENV_VAR, EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from deplogic.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 
 from helpers import EXAMPLE3_TEXT
 
@@ -69,52 +69,62 @@ class TestExitCodes:
     M, V, X = "{model}", "{vocab}", "{missing}"
     TRUE = "forall x. exists y. (dep(y) & y = c)"
     BROKEN = "forall x. (x = "
-    # id: (argv, DEPLOGIC_BUDGET or None, exit code, stdout or None)
+    # id: (argv, exit code, stdout or None)
     CASES = {
-        "eval true": (["eval", "--model", M, "--formula", TRUE], None, EXIT_OK, "true\n"),
-        "eval false": (["eval", "--model", M, "--formula", EXAMPLE3_TEXT], None, EXIT_NEGATIVE,
+        "eval true": (["eval", "--model", M, "--formula", TRUE], EXIT_OK, "true\n"),
+        "eval false": (["eval", "--model", M, "--formula", EXAMPLE3_TEXT], EXIT_NEGATIVE,
                        "false\n"),
-        "eval parse error": (["eval", "--model", M, "--formula", BROKEN], None, EXIT_USAGE, None),
-        "eval missing file": (["eval", "--model", X, "--formula", TRUE], None, EXIT_USAGE, None),
-        "eval budget": (["eval", "--model", M, "--formula", EXAMPLE3_TEXT], "1", EXIT_BUDGET, None),
-        "normalize": (["normalize", "--vocab", V, "--formula", EXAMPLE3_TEXT], None, EXIT_OK, None),
-        "normalize parse error": (["normalize", "--vocab", V, "--formula", BROKEN], None,
-                                  EXIT_USAGE, None),
-        "normalize missing file": (["normalize", "--vocab", X, "--formula", EXAMPLE3_TEXT], None,
+        "eval parse error": (["eval", "--model", M, "--formula", BROKEN], EXIT_USAGE, None),
+        "eval missing file": (["eval", "--model", X, "--formula", TRUE], EXIT_USAGE, None),
+        "eval budget": (["eval", "--budget", "1", "--model", M, "--formula", EXAMPLE3_TEXT],
+                        EXIT_BUDGET, None),
+        "normalize": (["normalize", "--vocab", V, "--formula", EXAMPLE3_TEXT], EXIT_OK, None),
+        "normalize parse error": (["normalize", "--vocab", V, "--formula", BROKEN], EXIT_USAGE,
+                                  None),
+        "normalize missing file": (["normalize", "--vocab", X, "--formula", EXAMPLE3_TEXT],
                                    EXIT_USAGE, None),
-        "equiv equivalent": (["equiv", "--vocab", V, "--f1", "x = c", "--f2", "c = x"], None,
-                             EXIT_OK, "equivalent\n"),
-        "equiv counterexample": (["equiv", "--vocab", V, "--f1", "dep(x)", "--f2", "dep()"], None,
+        "equiv equivalent": (["equiv", "--vocab", V, "--f1", "x = c", "--f2", "c = x"], EXIT_OK,
+                             "equivalent\n"),
+        "equiv counterexample": (["equiv", "--vocab", V, "--f1", "dep(x)", "--f2", "dep()"],
                                  EXIT_NEGATIVE, None),
-        "equiv parse error": (["equiv", "--vocab", V, "--f1", BROKEN, "--f2", "x = c"], None,
+        "equiv parse error": (["equiv", "--vocab", V, "--f1", BROKEN, "--f2", "x = c"],
                               EXIT_USAGE, None),
-        "equiv missing file": (["equiv", "--vocab", X, "--f1", "x = c", "--f2", "c = x"], None,
+        "equiv missing file": (["equiv", "--vocab", X, "--f1", "x = c", "--f2", "c = x"],
                                EXIT_USAGE, None),
-        "equiv max size 0": (["equiv", "--f1", "dep(x)", "--f2", "x = x", "--max-size", "0"], None,
+        "equiv max size 0": (["equiv", "--f1", "dep(x)", "--f2", "x = x", "--max-size", "0"],
                              EXIT_USAGE, None),
         "equiv max size -3": (["equiv", "--f1", "dep(x)", "--f2", "x = x", "--max-size", "-3"],
-                              None, EXIT_USAGE, None),
-        "chain": (["chain", "--model", M, "--formula", EXAMPLE3_TEXT, "--up-to", "4"], None,
-                  EXIT_OK, "true true false false\n"),
-        "chain parse error": (["chain", "--model", M, "--formula", BROKEN, "--up-to", "2"], None,
+                              EXIT_USAGE, None),
+        "chain": (["chain", "--model", M, "--formula", EXAMPLE3_TEXT, "--up-to", "4"], EXIT_OK,
+                  "true true false false\n"),
+        "chain parse error": (["chain", "--model", M, "--formula", BROKEN, "--up-to", "2"],
                               EXIT_USAGE, None),
         "chain missing file": (["chain", "--model", X, "--formula", EXAMPLE3_TEXT, "--up-to", "2"],
-                               None, EXIT_USAGE, None),
+                               EXIT_USAGE, None),
+    }
+    # Flags that the command has no use for: argparse rejects them and prints
+    # its usage line, so only the exit code is checked.
+    UNUSED_FLAGS = {
+        "parse budget": ["parse", "--budget", "5", "--ascii", "--formula", "x = x"],
+        "eval ascii": ["eval", "--ascii", "--model", M, "--formula", TRUE],
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exit_code(self, case, tmp_path, capsys, monkeypatch):
-        argv, budget, code, out = self.CASES[case]
+    def run(self, argv, tmp_path):
         (tmp_path / "m.txt").write_text("domain 3\nconstant c = 0\n")
         (tmp_path / "v.txt").write_text("constant c\n")
         files = {"model": tmp_path / "m.txt", "vocab": tmp_path / "v.txt",
                  "missing": tmp_path / "missing.txt"}
-        if budget is None:
-            monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(BUDGET_ENV_VAR, budget)
-        assert main([arg.format(**files) for arg in argv]) == code
+        return main([arg.format(**files) for arg in argv])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code(self, case, tmp_path, capsys):
+        argv, code, out = self.CASES[case]
+        assert self.run(argv, tmp_path) == code
         if code in (EXIT_USAGE, EXIT_BUDGET):
             assert_one_line_error(capsys)
         elif out is not None:
             assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("case", sorted(UNUSED_FLAGS))
+    def test_unused_flag_exits_2(self, case, tmp_path):
+        assert self.run(self.UNUSED_FLAGS[case], tmp_path) == EXIT_USAGE

@@ -33,9 +33,9 @@ from deplogic.normalform import (
     to_normal_form,
     to_prenex,
 )
-from deplogic.syntax import bound_vars, is_quantifier_free
+from deplogic.syntax import bound_vars, is_quantifier_free, quantify, strip_prefix
 
-from helpers import CORPUS, EXAMPLE3_TEXT, THETA1_TEXT, VOC_C, VOC_R1
+from helpers import CORPUS, EXAMPLE3_TEXT, THETA1_TEXT, VOC_C, VOC_EMPTY, VOC_R1
 
 x, y, z = Var("x"), Var("y"), Var("z")
 VOC_RS = Vocabulary(relations={"R": 1, "S": 1})
@@ -230,6 +230,33 @@ class TestToNormalForm:
         for name, text, voc in CORPUS:
             nf = to_normal_form(parse_formula(text, voc))
             assert free_vars(reassemble(nf)) == frozenset(), name
+
+    def test_hoisting_names_avoid_prefix_variables(self):
+        # dep(x,y) hoists through a witness named y_1 unless the name is
+        # chosen to avoid the vacuous universal outside the matrix too.
+        phi = parse_formula("forall y_1. forall x. exists y. (dep(x,y) | x = y)", VOC_EMPTY)
+        nf = to_normal_form(phi)
+        assert oracle_equiv(phi, reassemble(nf), max_size=2)
+
+
+class TestPrefix:
+    @pytest.mark.parametrize("name, text, voc", CORPUS, ids=[c[0] for c in CORPUS])
+    def test_quantify_inverts_strip_prefix(self, name, text, voc):
+        phi = parse_formula(text, voc)
+        assert quantify(*strip_prefix(phi)) == phi
+
+    @pytest.mark.parametrize("name, text, voc", CORPUS, ids=[c[0] for c in CORPUS])
+    def test_existential_prefix_stops_at_first_universal(self, name, text, voc):
+        prefix, body = strip_prefix(parse_formula(text, voc), Exists)
+        assert all(kind is Exists for kind, _ in prefix)
+        assert not isinstance(body, Exists)
+
+    def test_theta1_prefixes(self):
+        phi = parse_formula(THETA1_TEXT, VOC_C)
+        prefix, body = strip_prefix(phi, Exists)
+        assert prefix == [(Exists, "z")]
+        assert isinstance(body, Forall)
+        assert strip_prefix(phi)[0] == [(Exists, "z"), (Forall, "x"), (Exists, "y")]
 
 
 class TestMatchNormalForm:
