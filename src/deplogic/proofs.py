@@ -2,10 +2,21 @@
 
 Proofs are linear scripts: numbered steps carrying a formula, a rule tag,
 premise references, and the assumption steps the rule discharges.  The
-checker tracks which assumptions every step's derivation rests on and
-enforces the side conditions of the introduction/elimination rules, the
-disjunction and scope rules, unnesting, dependence distribution,
-dependence introduction/elimination, and the identity axioms.
+checker takes a script in a single forward pass.  At each step it checks
+the references and discharges, records which assumptions the step's
+derivation rests on, and enforces the side conditions of its rule: the
+introduction/elimination rules, the disjunction and scope rules, unnesting,
+dependence distribution, dependence introduction/elimination, and the
+identity axioms.
+
+Where the kernel can compute a rule's conclusion, it builds it with the
+program's own functions and compares once: forall_e and exists_i through
+`substitute`, unnest by building the unnesting at each argument position.
+dep_intro, dep_elim and dep_distribute accept their built conclusion up to
+the names of bound variables and the bracketing of &, and dep_intro also up
+to the order of the dependence atom's context.  The other rules compare
+formulas exactly.  An assumption left open must match a hypothesis up to
+the names of bound variables only.
 
 The table `_RULES` at the end of the module is the one place that defines
 a rule: how many premises it cites, how many assumptions it discharges,
@@ -16,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .diagnostics import Diagnostic
 from .syntax import (
@@ -29,21 +40,26 @@ from .syntax import (
     Formula,
     Not,
     Or,
+    Prefix,
     Term,
     Var,
     aligned_terms,
-    alpha_equal,
     alpha_key,
     all_vars,
+    conjoin,
+    conjuncts,
     free_vars,
     is_first_order,
     nest_right,
+    operands,
+    quantify,
     strip_prefix,
     substitute,
     term_vars,
+    walk_term,
     CaptureError,
 )
-from .normalform import DepAtomSpec, ShapeError, match_normal_form, split_dep_atoms
+from .normalform import ShapeError, match_normal_form, split_dep_atoms
 from .approximation import build_approximation
 
 
@@ -124,20 +140,24 @@ def apply_rule8(premise: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Checking infrastructure
+# Checking
 
-@dataclass
-class _Analysis:
-    deps: dict[int, frozenset[int]]  # step index -> open assumptions used
-    discharged_at: dict[int, int]  # assumption index -> discharging step
-    structural: list[tuple[int, Diagnostic]]
+def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
+    """Check every step and the final set of open assumptions.
 
-
-def _analyze(proof: Proof) -> _Analysis:
+    A single forward pass checks each step's references and discharges,
+    records the open assumptions it rests on and, unless it has a
+    structural problem, checks it against its rule.  dep_intro, dep_elim
+    and dep_distribute accept their computed conclusion up to the names of
+    bound variables and the bracketing of & (dep_intro also up to the order
+    of the atom's context); the other rules compare exactly.  An open
+    assumption must match one of allowed_open up to the names of bound
+    variables only.
+    """
     position = proof._position
-    deps: dict[int, frozenset[int]] = {}
-    discharged_at: dict[int, int] = {}
-    structural: list[tuple[int, Diagnostic]] = []
+    deps: dict[int, frozenset[int]] = {}  # step index -> open assumptions used
+    discharged_at: dict[int, int] = {}  # assumption index -> discharging step
+    failures: list[tuple[int, Diagnostic]] = []
 
     for pos, step in enumerate(proof.steps):
         problems = []
@@ -148,83 +168,46 @@ def _analyze(proof: Proof) -> _Analysis:
                 problems.append(f"reference to step {ref} does not point backwards")
         if step.rule == "assume" and (step.premises or step.discharged):
             problems.append("assumptions take no premises and discharge nothing")
-        if problems:
-            for p in problems:
-                structural.append((step.index, Diagnostic(p)))
-            deps[step.index] = frozenset()
-            continue
-
-        if step.rule == "assume":
-            deps[step.index] = frozenset((step.index,))
-            continue
 
         used: set[int] = set()
-        for ref in step.premises:
-            for assumption in deps.get(ref, frozenset()):
-                closer = discharged_at.get(assumption)
-                if closer is not None:
-                    structural.append(
-                        (
-                            step.index,
-                            Diagnostic(
-                                f"premise {ref} relies on assumption {assumption}, "
-                                f"already discharged at step {closer}"
-                            ),
+        if step.rule == "assume" and not problems:
+            used.add(step.index)
+        elif not problems:
+            for ref in step.premises:
+                for assumption in deps[ref]:
+                    closer = discharged_at.get(assumption)
+                    if closer is None:
+                        used.add(assumption)
+                    else:
+                        problems.append(
+                            f"premise {ref} relies on assumption {assumption}, "
+                            f"already discharged at step {closer}"
                         )
+            for d in step.discharged:
+                closer = discharged_at.get(d)
+                if proof.step(d).rule != "assume":
+                    problems.append(f"step {d} is not an assumption")
+                elif closer is not None:
+                    problems.append(
+                        f"the step discharges assumption {d} twice"
+                        if closer == step.index
+                        else f"assumption {d} was already discharged at step {closer}"
                     )
                 else:
-                    used.add(assumption)
-
-        for d in step.discharged:
-            target = proof.step(d)
-            if target.rule != "assume":
-                structural.append(
-                    (step.index, Diagnostic(f"step {d} is not an assumption"))
-                )
-                continue
-            if d in discharged_at:
-                closer = discharged_at[d]
-                structural.append(
-                    (
-                        step.index,
-                        Diagnostic(
-                            f"the step discharges assumption {d} twice"
-                            if closer == step.index
-                            else f"assumption {d} was already discharged at step {closer}"
-                        ),
-                    )
-                )
-                continue
-            discharged_at[d] = step.index
-            used.discard(d)
-
+                    discharged_at[d] = step.index
+                    used.discard(d)
+            problems = problems or _check_rule(proof, step, deps)
         deps[step.index] = frozenset(used)
-
-    return _Analysis(deps, discharged_at, structural)
-
-
-def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
-    """Check every step and the final set of open assumptions."""
-    analysis = _analyze(proof)
-    failures: list[tuple[int, Diagnostic]] = list(analysis.structural)
-    bad_structurally = {i for i, _ in analysis.structural}
-    for step in proof.steps:
-        if step.index in bad_structurally:
-            continue
-        for message in _check_rule(proof, step, analysis):
-            failures.append((step.index, Diagnostic(message)))
+        failures += [(step.index, Diagnostic(p)) for p in problems]
 
     hypotheses = {alpha_key(h) for h in allowed_open}
-    for step in proof.steps:
-        if step.rule != "assume" or step.index in analysis.discharged_at:
-            continue
-        if alpha_key(step.formula) not in hypotheses:
-            failures.append(
-                (
-                    step.index,
-                    Diagnostic("assumption is still open and not among the hypotheses"),
-                )
-            )
+    failures += [
+        (step.index, Diagnostic("assumption is still open and not among the hypotheses"))
+        for step in proof.steps
+        if step.rule == "assume"
+        and step.index not in discharged_at
+        and alpha_key(step.formula) not in hypotheses
+    ]
 
     failures.sort(key=lambda pair: pair[0])
     verdict = "accepted" if not failures else "rejected"
@@ -235,16 +218,17 @@ def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
 # Per-rule checks.  `_check_rule` checks a step's premise and discharge counts
 # against its row in `_RULES`, then calls the row's checker with the step's
 # conclusion, the formulas of its premises and of its discharged assumptions
-# in the order cited, and ctx = (proof, step, analysis).  A checker returns a
-# list of problem messages and never counts premises or discharges itself.
+# in the order cited, and ctx = (proof, step, deps), where deps maps each
+# earlier step to the open assumptions it rests on.  A checker returns a list
+# of problem messages and never counts premises or discharges itself.
 
-def _check_rule(proof: Proof, step: ProofStep, analysis: _Analysis) -> list[str]:
+def _check_rule(
+    proof: Proof, step: ProofStep, deps: dict[int, frozenset[int]]
+) -> list[str]:
     row = _RULES.get(step.rule)
     if row is None:
         return [f"unknown rule {step.rule!r}"]
     premises, discharged, checker = row
-    if checker is None:
-        return []  # an assumption, checked by `_analyze`
     if premises is not None and len(step.premises) != premises:
         return [f"rule {step.rule} expects {premises} premise(s), got {len(step.premises)}"]
     if len(step.discharged) != discharged:
@@ -256,14 +240,14 @@ def _check_rule(proof: Proof, step: ProofStep, analysis: _Analysis) -> list[str]
         step.formula,
         [proof.step(i).formula for i in step.premises],
         [proof.step(i).formula for i in step.discharged],
-        (proof, step, analysis),
+        (proof, step, deps),
     )
 
 
 def _rests_on(ctx, k: int) -> frozenset[int]:
     """The open assumptions that the step's k-th premise rests on."""
-    _, step, analysis = ctx
-    return analysis.deps.get(step.premises[k], frozenset())
+    _, step, deps = ctx
+    return deps[step.premises[k]]
 
 
 def _free_in_open(x: str, ctx, k: int, condition: int) -> list[str]:
@@ -353,40 +337,25 @@ def _check_forall_i(c, ps, ds, ctx):
     return _free_in_open(c.var, ctx, 0, 3)
 
 
-def _instantiation_term(
-    template: Formula, instance: Formula, x: str
-) -> tuple[bool, Optional[Term]]:
-    """Find the unique term t with template(t/x) == instance, if any."""
-    witness: list[Term] = []
-
-    def terms(a: Term, b: Term, shadowed: bool) -> bool:
-        if isinstance(a, Var) and a.name == x and not shadowed:
-            if not witness:
-                witness.append(b)
-            return witness[0] == b
-        if isinstance(a, Apply) and isinstance(b, Apply) and a.func == b.func:
-            return len(a.args) == len(b.args) and all(
-                terms(s, t, shadowed) for s, t in zip(a.args, b.args)
-            )
-        return a == b
-
-    pairs = aligned_terms(template, instance)
-    ok = pairs is not None and all(terms(s, t, x in bound) for s, t, bound in pairs)
-    return ok, (witness[0] if witness else None)
-
-
 def _check_instantiation(template: Formula, x: str, instance: Formula) -> list[str]:
-    ok, t = _instantiation_term(template, instance, x)
-    if not ok:
-        return ["formulas do not differ by a substitution for the quantified variable"]
-    if t is None:
-        return []  # x not free; instance equals template
-    try:
-        if substitute(template, t, x) != instance:
-            return ["substitution check failed"]
-    except CaptureError:
-        return ["a variable of the substituted term would become bound"]
-    return []
+    """instance must be template(t/x), where t is the term that instance has
+    at the first free occurrence of x in template; substitute decides."""
+    pairs = aligned_terms(template, instance)
+    if pairs is not None:
+        first = (
+            u
+            for a, b, bound in pairs
+            if x not in bound
+            for v, u in zip(walk_term(a), walk_term(b))
+            if v == Var(x)
+        )
+        try:
+            # With no free x, substituting x for itself leaves template as is.
+            if substitute(template, next(first, Var(x)), x) == instance:
+                return []
+        except CaptureError:
+            return ["a variable of the substituted term would become bound"]
+    return ["formulas do not differ by a substitution for the quantified variable"]
 
 
 def _check_forall_e(c, ps, ds, ctx):
@@ -463,46 +432,42 @@ def _check_unnest(c, ps, ds, ctx):
     (p,) = ps
     if not isinstance(p, Dep) or not p.args:
         return ["premise must be a non-empty dependence atom"]
-    if not (
-        isinstance(c, Exists)
-        and isinstance(c.body, And)
-        and isinstance(c.body.left, Dep)
-        and isinstance(c.body.right, Eq)
-    ):
+    if not isinstance(c, Exists):
         return ["conclusion must have shape exists z (dep(...) & z = t)"]
-    z = c.var
-    atom = c.body.left
-    eq = c.body.right
-    if eq.left != Var(z):
-        return ["the equation must bind the fresh variable on the left"]
-    if len(atom.args) != len(p.args):
-        return ["unnesting must preserve the atom's arity"]
-    replaced = [i for i, (a, b) in enumerate(zip(atom.args, p.args)) if a != b]
-    if len(replaced) != 1:
-        return ["exactly one argument position must be replaced"]
-    i = replaced[0]
-    if atom.args[i] != Var(z) or eq.right != p.args[i]:
-        return ["the replaced argument must become the fresh variable, equated to it"]
-    if any(z in term_vars(t) for t in p.args):
+    if any(c.var in term_vars(t) for t in p.args):
         return ["the introduced variable must be new to the atom"]
+    z = Var(c.var)
+    if not any(
+        c == Exists(c.var, And(Dep(p.args[:i] + (z,) + p.args[i + 1 :]), Eq(z, t)))
+        for i, t in enumerate(p.args)
+    ):
+        return ["conclusion must replace one argument by the fresh variable, equated to it"]
     return []
 
 
-def _parse_dep_block(phi: Formula) -> tuple[list[str], list[DepAtomSpec], Formula]:
+def _same(a: Formula, b: Formula) -> bool:
+    """Equal up to the names of bound variables and the bracketing of &,
+    neither of which changes a formula's meaning.  Most conclusions are
+    written as built, so the exact keys are compared first."""
+    if alpha_key(a) == alpha_key(b):
+        return True
+    return alpha_key(nest_right(a)) == alpha_key(nest_right(b))
+
+
+def _parse_dep_block(phi: Formula) -> tuple[Prefix, list[Formula], Formula]:
     """Split exists y1..yn (dep-atoms & core); requires one atom per bound
     variable, each determining its variable, core without dependence atoms."""
     prefix, body = strip_prefix(phi, Exists)
-    bound = [v for _, v in prefix]
     try:
         atoms, core = split_dep_atoms(body)
     except ShapeError as e:
         raise RuleSchemaError(str(e)) from e
-    if len(atoms) != len(bound):
+    if len(atoms) != len(prefix):
         raise RuleSchemaError("expected one dependence atom per quantifier")
-    for y, (_, determined) in zip(bound, atoms):
+    for (_, y), (_, determined) in zip(prefix, atoms):
         if determined != y:
             raise RuleSchemaError(f"atom does not determine its quantifier {y}")
-    return bound, atoms, core
+    return prefix, conjuncts(body)[: len(atoms)], core
 
 
 def _check_dep_distribute(c, ps, ds, ctx):
@@ -510,35 +475,30 @@ def _check_dep_distribute(c, ps, ds, ctx):
     if not isinstance(p, Or):
         return ["premise must be a disjunction"]
     try:
-        ys_a, atoms_a, core_a = _parse_dep_block(p.left)
-        ys_b, atoms_b, core_b = _parse_dep_block(p.right)
+        prefix_a, atoms_a, core_a = _parse_dep_block(p.left)
+        prefix_b, atoms_b, core_b = _parse_dep_block(p.right)
     except RuleSchemaError as e:
         return [str(e)]
     problems = []
-    if set(ys_a) & all_vars(p.right):
+    if {y for _, y in prefix_a} & all_vars(p.right):
         problems.append("left block variables may not appear in the right disjunct")
-    if set(ys_b) & all_vars(p.left):
+    if {y for _, y in prefix_b} & all_vars(p.left):
         problems.append("right block variables may not appear in the left disjunct")
-    try:
-        conclusion = _parse_dep_block(nest_right(c))
-    except RuleSchemaError:
-        conclusion = None
-    if conclusion != (ys_a + ys_b, atoms_a + atoms_b, nest_right(Or(core_a, core_b))):
+    core = Or(core_a, core_b)
+    if not _same(c, quantify(prefix_a + prefix_b, conjoin(atoms_a + atoms_b + [core]))):
         problems.append("conclusion does not match the distributed form")
     return problems
 
 
 def _rule7_normal(phi: Formula) -> Formula:
-    """phi with every & chain nested to the right and, when it has the shape
-    forall y exists x (dep(z..., x) & A), the context z... in a fixed order:
-    the order of a dependence atom's context does not change its meaning."""
-    phi = nest_right(phi)
+    """phi with the context z... of the dependence atom of forall y exists x
+    (dep(z..., x) & A) sorted: its order does not change the atom's meaning."""
     if isinstance(phi, Forall) and isinstance(phi.body, Exists):
-        inner = phi.body.body
-        if isinstance(inner, And) and isinstance(inner.left, Dep) and inner.left.args:
-            *context, x = inner.left.args
+        atom, *rest = operands(phi.body.body)
+        if isinstance(atom, Dep) and atom.args:
+            *context, x = atom.args
             atom = Dep(tuple(sorted(context, key=repr)) + (x,))
-            return Forall(phi.var, Exists(phi.body.var, And(atom, inner.right)))
+            return Forall(phi.var, Exists(phi.body.var, conjoin([atom] + rest)))
     return phi
 
 
@@ -547,7 +507,7 @@ def _check_dep_intro(c, ps, ds, ctx):
         expected = apply_rule7(ps[0])
     except RuleSchemaError as e:
         return [str(e)]
-    if _rule7_normal(c) != _rule7_normal(expected):
+    if not _same(_rule7_normal(c), _rule7_normal(expected)):
         return ["conclusion differs from rule 7 applied to the premise"]
     return []
 
@@ -557,7 +517,7 @@ def _check_dep_elim(c, ps, ds, ctx):
         expected = apply_rule8(ps[0])
     except RuleSchemaError as e:
         return [str(e)]
-    if not alpha_equal(c, expected):
+    if not _same(c, expected):
         return ["conclusion differs from the guard-set unrolling of the premise"]
     return []
 
@@ -620,7 +580,7 @@ def _check_identity(c, ps, ds, ctx):
 # The rule table, the one place that defines the shape of a rule: each row
 # is (premises cited, or None for identity, which takes 0, 1 or 2; assumptions
 # discharged; checker).  A mirrored pair of rules shares one checker,
-# parameterised here.  `assume` has no checker: `_analyze` checks assumptions.
+# parameterised here.  `assume` has no checker: `check_proof` checks assumptions.
 _RULES = {
     "assume": (0, 0, None),
     "and_i": (2, 0, _check_and_i),

@@ -1,6 +1,11 @@
 """Tests for the proof kernel: step lookup, open assumptions, repeated
-discharges, and the dependence rules 7, 8 and dep_distribute on conjunctions
-of any bracketing."""
+discharges, the dependence rules 7, 8 and dep_distribute on conjunctions of
+any bracketing and renamed bound variables, a per-rule corpus, and whole
+gadgets of the benchmark's proof generator."""
+
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,9 @@ from deplogic import (
     apply_rule8,
     check_proof,
     parse_formula,
+    parse_hypotheses,
     parse_proof,
+    parse_vocabulary,
 )
 
 from helpers import EXAMPLE3_TEXT, VOC_C, entails_on_small_models
@@ -78,6 +85,7 @@ class TestRule7:
             "forall y. exists x. (dep(x) & (R(x,y) & P(x) & Q(y)))",
             "forall y. exists x. (dep(x) & R(x,y) & P(x) & Q(y))",
             "forall y. exists x. (dep(x) & (R(x,y) & (P(x) & Q(y))))",
+            "forall v. exists x. (dep(x) & R(x,v) & P(x) & Q(v))",
         ],
     )
     def test_any_bracketing_accepted(self, text):
@@ -92,6 +100,8 @@ class TestRule7:
             "forall y. exists x. (dep(x) & R(x,y) & P(x))",
             "forall y. exists x. (dep(x) & R(x,y) & Q(y) & P(x))",
             "forall y. exists x. (dep(y,x) & R(x,y) & P(x) & Q(y))",
+            "forall v. exists x. (dep(y,x) & R(x,v) & P(x) & Q(v))",
+            "forall v. exists x. (dep(v,x) & R(x,v) & P(x) & Q(v))",
         ],
     )
     def test_other_conclusions_rejected(self, text):
@@ -111,6 +121,27 @@ class TestRule8:
         flat = parse_formula(EXAMPLE3_FLAT_TEXT, VOC_C)
         proof = one_step_proof(flat, apply_rule8(flat), "dep_elim")
         assert check_proof(proof, [flat]).accepted
+
+    PREMISE = "forall x. exists y. exists z. (dep(x,y) & dep(y,z) & R(y,z))"
+    OUTER = (
+        "forall x_0. exists y_0. exists z_0. "
+        "(R(y_0, z_0) & (forall x_1. exists y_1. exists z_1. "
+    )
+    GUARDS = "(~(x_0 = x_1) | y_0 = y_1) & (~(y_0 = y_1) | z_0 = z_1)"
+
+    @pytest.mark.parametrize(
+        "inner, accepted",
+        [
+            (f"R(y_1, z_1) & ({GUARDS})", True),
+            (f"R(y_1, z_1) & {GUARDS}", True),
+            ("R(y_1, z_1) & (~(x_0 = x_1) | y_0 = y_1)", False),
+        ],
+    )
+    def test_conclusion_compared_up_to_bracketing(self, inner, accepted):
+        premise = parse_formula(self.PREMISE, VOC_R2PQ)
+        conclusion = parse_formula(f"{self.OUTER}({inner})))", VOC_R2PQ)
+        report = check_proof(one_step_proof(premise, conclusion, "dep_elim"), [premise])
+        assert report.accepted == accepted, report.failures
 
 
 class TestDepDistribute:
@@ -157,6 +188,19 @@ class TestDepDistribute:
         conclusion = parse_formula(
             f"exists y. exists w. (dep(x,y) & dep(x,w) & ({core}))", VOC_PQR
         )
+        report = check_proof(one_step_proof(premise, conclusion, "dep_distribute"), [premise])
+        assert report.accepted == accepted, report.failures
+
+    @pytest.mark.parametrize(
+        "text, accepted",
+        [
+            ("exists b. exists w. (dep(x,b) & dep(x,w) & ((P(b) & Q(b)) | R(w)))", True),
+            ("exists b. exists w. (dep(x,b) & dep(x,w) & ((P(w) & Q(b)) | R(w)))", False),
+        ],
+    )
+    def test_block_variables_compared_up_to_renaming(self, text, accepted):
+        premise = parse_formula(self.PREMISE, VOC_PQR)
+        conclusion = parse_formula(text, VOC_PQR)
         report = check_proof(one_step_proof(premise, conclusion, "dep_distribute"), [premise])
         assert report.accepted == accepted, report.failures
 
@@ -231,6 +275,28 @@ RULE_CORPUS = [
      ["forall x. R(x,c)"], set()),
     ("forall_e", "rejected", ("1. forall x. R(x,c) assume", "2. R(d,d) forall_e 1"),
      ["forall x. R(x,c)"], {2}),
+    ("forall_e", "shadowed occurrence kept",
+     ("1. forall x. (P(x) & exists x. Q(x)) assume", "2. P(c) & exists x. Q(x) forall_e 1"),
+     ["forall x. (P(x) & exists x. Q(x))"], set()),
+    ("forall_e", "shadowed occurrence replaced",
+     ("1. forall x. (P(x) & exists x. Q(x)) assume", "2. P(c) & exists x. Q(c) forall_e 1"),
+     ["forall x. (P(x) & exists x. Q(x))"], {2}),
+    ("forall_e", "shadowed occurrence first",
+     ("1. forall x. ((exists x. Q(x)) & P(x)) assume", "2. (exists x. Q(x)) & P(c) forall_e 1"),
+     ["forall x. ((exists x. Q(x)) & P(x))"], set()),
+    ("forall_e", "capture",
+     ("1. forall x. exists y. R(x,y) assume", "2. exists y. R(y,y) forall_e 1"),
+     ["forall x. exists y. R(x,y)"], {2}),
+    ("forall_e", "nested terms",
+     ("1. forall x. R(x, f(x)) assume", "2. R(f(c), f(f(c))) forall_e 1"),
+     ["forall x. R(x, f(x))"], set()),
+    ("forall_e", "nested terms disagree",
+     ("1. forall x. R(x, f(x)) assume", "2. R(f(c), f(c)) forall_e 1"),
+     ["forall x. R(x, f(x))"], {2}),
+    ("forall_e", "vacuous", ("1. forall x. P(c) assume", "2. P(c) forall_e 1"),
+     ["forall x. P(c)"], set()),
+    ("forall_e", "vacuous, other formula", ("1. forall x. P(c) assume", "2. P(d) forall_e 1"),
+     ["forall x. P(c)"], {2}),
     ("exists_i", "accepted", ("1. R(c,d) assume", "2. exists x. R(x,d) exists_i 1"), ["R(c,d)"], set()),
     ("exists_i", "rejected", ("1. R(c,d) assume", "2. exists x. R(x,x) exists_i 1"), ["R(c,d)"], {2}),
     ("exists_e", "accepted", EXISTS_E_STEPS + ("4. exists y. P(y) exists_e 1 3 discharge 2",),
@@ -276,6 +342,12 @@ RULE_CORPUS = [
      ["dep(f(x), y)"], set()),
     ("unnest", "rejected", ("1. dep(f(x), y) assume", "2. exists z. (dep(z, y) & z = x) unnest 1"),
      ["dep(f(x), y)"], {2}),
+    ("unnest", "variable not fresh",
+     ("1. dep(f(x), y) assume", "2. exists x. (dep(x, y) & x = f(x)) unnest 1"),
+     ["dep(f(x), y)"], {2}),
+    ("unnest", "two positions replaced",
+     ("1. dep(f(x), f(x)) assume", "2. exists z. (dep(z, z) & z = f(x)) unnest 1"),
+     ["dep(f(x), f(x))"], {2}),
     ("dep_distribute", "accepted",
      (f"1. {DEP_DISTRIBUTE_PREMISE} assume",
       "2. exists y. exists w. (dep(x,y) & dep(x,w) & (P(y) | Q(w))) dep_distribute 1"),
@@ -375,3 +447,30 @@ def test_accepted_rule_instance_is_sound(rule, script, hypotheses, rejected):
 def test_entailment_check_finds_counterexamples(premises, conclusion):
     parse = lambda text: parse_formula(text, VOC_RULES)
     assert not entails_on_small_models([parse(p) for p in premises], parse(conclusion))
+
+
+# ---------------------------------------------------------------------------
+# Whole gadgets of the benchmark's proof generator, `bench/proofgen.py`.
+# Each is a correct derivation whose undischarged assumptions are its
+# hypotheses, and those must entail its conclusion.  This covers or_e, neg_i,
+# exists_e, disj_subst and forall_i, which the single-step property skips.
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import proofgen  # noqa: E402
+from inputs import VOCAB_TEXT  # noqa: E402
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("gadget", proofgen.GADGETS, ids=lambda g: g.__name__)
+def test_gadget_is_accepted_and_sound(gadget, seed, monkeypatch):
+    # A script of one gadget: a cycle of this gadget alone, cut at its length.
+    length = len(gadget(random.Random(seed)).steps)
+    monkeypatch.setattr(proofgen, "GADGETS", [gadget])
+    script = proofgen.script(random.Random(seed), length, 0)
+    voc = parse_vocabulary(VOCAB_TEXT)
+    proof = parse_proof(script.text, voc)
+    hypotheses = parse_hypotheses(script.hypotheses, voc)
+    assert len(proof.steps) == length
+    report = check_proof(proof, hypotheses)
+    assert report.accepted, report.failures
+    assert entails_on_small_models(hypotheses, proof.conclusion, max_size=2)
