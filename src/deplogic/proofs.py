@@ -493,7 +493,11 @@ def _check_dep_distribute(c, ps, ds, ctx):
 def _rule7_normal(phi: Formula) -> Formula:
     """phi with the context z... of the dependence atom of forall y exists x
     (dep(z..., x) & A) sorted: its order does not change the atom's meaning."""
-    if isinstance(phi, Forall) and isinstance(phi.body, Exists):
+    if (
+        isinstance(phi, Forall)
+        and isinstance(phi.body, Exists)
+        and isinstance(phi.body.body, And)
+    ):
         atom, *rest = operands(phi.body.body)
         if isinstance(atom, Dep) and atom.args:
             *context, x = atom.args
@@ -580,7 +584,9 @@ def _check_identity(c, ps, ds, ctx):
 # The rule table, the one place that defines the shape of a rule: each row
 # is (premises cited, or None for identity, which takes 0, 1 or 2; assumptions
 # discharged; checker).  A mirrored pair of rules shares one checker,
-# parameterised here.  `assume` has no checker: `check_proof` checks assumptions.
+# parameterised here.  `assume` has no checker, and its row is read only for
+# membership in RULES: `check_proof` checks assumption steps itself, its
+# counts (no premises, no discharges) included.
 _RULES = {
     "assume": (0, 0, None),
     "and_i": (2, 0, _check_and_i),

@@ -372,6 +372,13 @@ RULE_CORPUS = [
      ("1. forall y. exists x. R(x,y) assume",
       "2. forall y. exists x. (dep(x) & R(x,y)) dep_intro 1"),
      ["forall y. exists x. R(x,y)"], {2}),
+    # A conclusion whose matrix is no conjunction is rejected, not read as one.
+    *[
+        ("dep_intro", f"matrix {body}",
+         ("1. exists x. forall y. R(x,y) assume", f"2. forall y. exists x. {body} dep_intro 1"),
+         ["exists x. forall y. R(x,y)"], {2})
+        for body in ("P(x)", "x = y", "dep(x)", "(dep(x) | R(x,y))")
+    ],
     ("dep_elim", "accepted",
      (f"1. {RULE8_PREMISE} assume",
       "2. forall u. exists v. (R(u,v) & forall w. exists z. (R(w,z) & (~(u = w) | v = z))) dep_elim 1"),
@@ -455,22 +462,36 @@ def test_entailment_check_finds_counterexamples(premises, conclusion):
 # hypotheses, and those must entail its conclusion.  This covers or_e, neg_i,
 # exists_e, disj_subst and forall_i, which the single-step property skips.
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+# `bench/` goes last on the path, so that its modules shadow no other.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import proofgen  # noqa: E402
 from inputs import VOCAB_TEXT  # noqa: E402
+from oracle import text  # noqa: E402
+
+
+def gadget_script(gadget):
+    """The script of one gadget, with 1-based step numbers, and its
+    hypotheses: the assumptions that no step of it discharges."""
+    discharged = {d for *_, ds in gadget.steps for d in ds}
+    lines, hypotheses = [], []
+    for i, (formula, rule, premises, ds) in enumerate(gadget.steps):
+        refs = "".join(f" {p + 1}" for p in premises)
+        refs += " discharge" + "".join(f" {d + 1}" for d in ds) if ds else ""
+        lines.append(f"{i + 1}. {text(formula)} {rule}{refs}")
+        if rule == "assume" and i not in discharged:
+            hypotheses.append(text(formula))
+    return "\n".join(lines) + "\n", "\n".join(hypotheses) + "\n"
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("gadget", proofgen.GADGETS, ids=lambda g: g.__name__)
-def test_gadget_is_accepted_and_sound(gadget, seed, monkeypatch):
-    # A script of one gadget: a cycle of this gadget alone, cut at its length.
-    length = len(gadget(random.Random(seed)).steps)
-    monkeypatch.setattr(proofgen, "GADGETS", [gadget])
-    script = proofgen.script(random.Random(seed), length, 0)
+def test_gadget_is_accepted_and_sound(gadget, seed):
+    g = gadget(random.Random(seed))
+    script, hypotheses_text = gadget_script(g)
     voc = parse_vocabulary(VOCAB_TEXT)
-    proof = parse_proof(script.text, voc)
-    hypotheses = parse_hypotheses(script.hypotheses, voc)
-    assert len(proof.steps) == length
+    proof = parse_proof(script, voc)
+    hypotheses = parse_hypotheses(hypotheses_text, voc)
+    assert len(proof.steps) == len(g.steps)
     report = check_proof(proof, hypotheses)
     assert report.accepted, report.failures
     assert entails_on_small_models(hypotheses, proof.conclusion, max_size=2)
