@@ -21,6 +21,7 @@ from deplogic import (
     Var,
     Vocabulary,
     parse_formula,
+    parse_hypotheses,
     parse_model,
     parse_proof,
     parse_team,
@@ -104,6 +105,144 @@ class TestParseFormula:
         a = parse_formula("∀x. ∃y. ((x = y) ∧ ¬(x = y))", EMPTY)
         b = parse_formula("forall x. exists y. ((x = y) & ~(x = y))", EMPTY)
         assert a == b
+
+
+class TestErrorCorpus:
+    """Every parse error, pinned as `line:start-end: message`: one case or
+    more for each place the readers raise, in every format."""
+
+    VOC = Vocabulary(relations={"A": 0, "P": 1, "R": 2}, functions={"f": 1, "g": 2},
+                     constants={"c"})
+    READERS = {
+        "formula": lambda src: parse_formula(src, TestErrorCorpus.VOC),
+        "proof": lambda src: parse_proof(src, TestErrorCorpus.VOC),
+        "hypotheses": lambda src: parse_hypotheses(src, TestErrorCorpus.VOC),
+        "model": parse_model,
+        "team": lambda src: parse_team(src, Model(2, constants={"c": 0})),
+        "vocabulary": parse_vocabulary,
+    }
+
+    @pytest.mark.parametrize("reader, source, expected", [
+        # characters no format uses; a digit or letter outside ASCII is one
+        ("formula", "x = $", "1:4-5: unexpected character '$'"),
+        ("formula", "١ = x", "1:0-1: unexpected character '١'"),
+        ("formula", "xé = x", "1:1-2: unexpected character 'é'"),
+        ("vocabulary", "constant c-d", "1:10-11: unexpected character '-'"),
+        # formulas
+        ("formula", "forall x. (x = y", "1:16-17: expected ')', found end of input"),
+        ("formula", "forall dep. x = x", "1:7-10: 'dep' is reserved"),
+        ("formula", "forall 1. x = x", "1:7-8: expected a variable name, found '1'"),
+        ("formula", "forall x x = x", "1:9-10: expected '.' after the bound variable, found 'x'"),
+        ("formula", "dep(x y)", "1:6-7: expected ',' or ')', found 'y'"),
+        ("formula", "dep(x,,y)", "1:6-7: expected a term, found ','"),
+        ("formula", "forall c. c = c", "1:7-8: bound variable 'c' collides with a declared symbol"),
+        ("formula", "exists R. A", "1:7-8: bound variable 'R' collides with a declared symbol"),
+        ("formula", "~dep(x)", "1:0-1: negation may only be applied to first-order formulas"),
+        ("formula", "A & ~(P(x) | dep(x))",
+         "1:4-5: negation may only be applied to first-order formulas"),
+        ("formula", "R(x)", "1:0-1: relation R expects 2 arguments, got 1"),
+        ("formula", "P(x, y)", "1:0-1: relation P expects 1 arguments, got 2"),
+        ("formula", "g(x) = x", "1:0-1: function g expects 2 arguments, got 1"),
+        ("formula", "x = R", "1:4-5: relation R used in term position"),
+        ("formula", "f = x", "1:2-3: expected '(' after function f, found '='"),
+        ("formula", "x y", "1:2-3: expected '=' after a term, found 'y'"),
+        ("formula", "x = x x", "1:6-7: expected end of input, found 'x'"),
+        ("formula", "(x = x) (y = y)", "1:8-9: expected end of input, found '('"),
+        ("formula", "x = 1", "1:4-5: expected a term, found '1'"),
+        ("formula", "dep = x", "1:0-3: 'dep' is reserved"),
+        ("formula", "= x", "1:0-1: expected a term, found '='"),
+        ("formula", "x -> y", "1:2-4: expected '=' after a term, found '->'"),
+        ("formula", "{x}", "1:0-1: expected a term, found '{'"),
+        ("formula", "", "1:0-1: expected a term, found end of input"),
+        ("formula", "\n\n", "2:0-1: expected a term, found end of input"),
+        # a formula may span lines, with comments between them
+        ("formula", "forall x.  # the body follows\n  (x = \n",
+         "2:7-8: expected a term, found end of input"),
+        ("formula", "forall x. # note\n (x = x & )", "2:10-11: expected a term, found ')'"),
+        # the Unicode aliases
+        ("formula", "∀x. ∃y. (x = y ∧ ¬)", "1:18-19: expected a term, found ')'"),
+        ("formula", "∀∀", "1:1-2: '∀' is reserved"),
+        ("formula", "x = x ∨ ∃", "1:9-10: expected a variable name, found end of input"),
+        ("hypotheses", "P(x) ∧ ¬dep(x)",
+         "1:7-8: negation may only be applied to first-order formulas"),
+        # proof scripts: a formula ends at the end of its line
+        ("proof", "one. x = x assume", "1:0-3: expected a step index, found 'one'"),
+        ("proof", "1 x = x assume", "1:2-3: expected '.' after the step index, found 'x'"),
+        ("proof", "1. c = c 5", "1:9-10: expected a rule name, found '5'"),
+        ("proof", "1. c = c frobnicate", "1:9-19: unknown rule name 'frobnicate'"),
+        ("proof", "1. c = c identity\n2. c = c & c = c and_i 1 5",
+         "2:25-26: dangling reference to step 5"),
+        ("proof", "1. c = c assume 1", "1:16-17: dangling reference to step 1"),
+        ("proof", "2. c = c identity\n1. c = c identity",
+         "2:0-1: step indices must increase (got 1)"),
+        ("proof", "1. c = c assume discharge  # x",
+         "1:27-28: `discharge` must be followed by step indices"),
+        ("proof", "1. c = c assume discharge x",
+         "1:26-27: `discharge` must be followed by step indices"),
+        ("proof", "1. c = c assume )", "1:16-17: expected end of line, found ')'"),
+        ("proof", "1. (c = c\n", "1:9-10: expected ')', found end of line"),
+        ("proof", "1. (c = c  # open\n) assume", "1:11-12: expected ')', found end of line"),
+        ("proof", "1. c = c assume\n2. forall x. assume",
+         "2:19-20: expected '=' after a term, found end of line"),
+        ("proof", "# only\n", "1:6-7: empty proof script"),
+        ("proof", "", "1:0-1: empty proof script"),
+        # hypotheses: one formula per line
+        ("hypotheses", "x = \n", "1:4-5: expected a term, found end of line"),
+        ("hypotheses", "x = x\nx =", "2:3-4: expected a term, found end of line"),
+        ("hypotheses", "x = x y", "1:6-7: expected end of line, found 'y'"),
+        # models
+        ("model", "", "1:0-1: empty model file"),
+        ("model", "# nothing\n", "1:9-10: empty model file"),
+        ("model", "size 2", "1:0-4: a model file must start with `domain <k>`"),
+        ("model", "domain x", "1:7-8: expected the domain size, found 'x'"),
+        ("model", "domain 0", "1:7-8: domain must be non-empty"),
+        ("model", "domain 2 3", "1:9-10: expected end of line, found '3'"),
+        ("model", "domain 2\nconst c = 0",
+         "2:0-5: expected `relation`, `function` or `constant`, found 'const'"),
+        ("model", "domain 2\nconstant c 0", "2:11-12: expected '=', found '0'"),
+        ("model", "domain 2\nconstant c = 2", "2:13-14: constant c value 2 out of domain 0..1"),
+        ("model", "domain 2\nconstant c = x", "2:13-14: expected a domain element, found 'x'"),
+        ("model", "domain 2\nrelation R 1", "2:11-12: expected '/' after the symbol name, found '1'"),
+        ("model", "domain 2\nrelation R/x", "2:11-12: expected an arity, found 'x'"),
+        ("model", "domain 2\nfunction f/0 = []", "2:11-12: function arity must be positive"),
+        ("model", "domain 2\nrelation R/1 = (0)", "2:15-16: expected '{', found '('"),
+        ("model", "domain 2\nrelation R/2 = {(0)}", "2:16-17: tuple has 1 entries, expected 2"),
+        ("model", "domain 2\nrelation R/2 = {0}", "2:16-17: tuple has 1 entries, expected 2"),
+        ("model", "domain 2\nrelation R/1 = {(0) (1)}", "2:20-21: expected ',' or '}', found '('"),
+        ("model", "domain 2\nrelation R/1 = {(0)", "2:19-20: expected ',' or '}', found end of line"),
+        ("model", "domain 2\nfunction f/1 = [0->1, 0->0]", "2:22-23: function f defines (0,) twice"),
+        ("model", "domain 2\nfunction f/1 = [0->1]",
+         "2:15-16: partial table for function f: 1 entries missing"),
+        ("model", "domain 2\nfunction f/1 = [0 1]", "2:18-19: expected '->', found '1'"),
+        ("model", "domain 2\nfunction f/1 = 0->1", "2:15-16: expected '[', found '0'"),
+        ("model", "domain 2\nconstant c = 0\nconstant c = 1", "3:9-10: duplicate symbol c"),
+        ("model", "domain 2\nconstant forall = 1", "2:9-15: 'forall' is reserved"),
+        # teams
+        ("team", "", "1:0-1: empty team file"),
+        ("team", "x y", "1:0-1: a team file must start with a `vars` line"),
+        ("team", "vars 1", "1:5-6: expected a variable name, found '1'"),
+        ("team", "vars x x", "1:7-8: a variable is named twice"),
+        ("team", "vars c", "1:5-6: variable c collides with a model symbol"),
+        ("team", "vars x\n0 1", "2:0-1: row has 2 values, expected 1"),
+        ("team", "vars x\n2", "2:0-1: value 2 out of domain 0..1"),
+        ("team", "vars\n(", "2:1-2: expected ')', found end of line"),
+        ("team", "vars\n() 0", "2:3-4: expected end of line, found '0'"),
+        # vocabularies
+        ("vocabulary", "relation R/1\nconstant R", "2:9-10: duplicate symbol R"),
+        ("vocabulary", "constant 9", "1:9-10: expected a symbol name, found '9'"),
+        ("vocabulary", "constant forall", "1:9-15: 'forall' is reserved"),
+        ("vocabulary", "constant c d", "1:11-12: expected end of line, found 'd'"),
+        ("vocabulary", "constant c->d", "1:10-12: expected end of line, found '->'"),
+        ("vocabulary", "predicate P/1",
+         "1:0-9: expected `relation`, `function` or `constant`, found 'predicate'"),
+        ("vocabulary", "function f/0", "1:11-12: function arity must be positive"),
+    ])
+    def test_error(self, reader, source, expected):
+        with pytest.raises(ParseError) as e:
+            self.READERS[reader](source)
+        span = e.value.diagnostic.span
+        got = f"{span.line}:{span.col_start}-{span.col_end}: {e.value.diagnostic.message}"
+        assert got == expected
 
 
 class TestPrintFormula:
