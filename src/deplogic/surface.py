@@ -1,17 +1,21 @@
 """Concrete syntax: formulas, models, teams, vocabularies, and proof scripts.
 
-All formats are line-oriented text; `#` starts a comment.  One tokenizer
-reads every format, and one cursor over its tokens reads every grammar, so
-each error points at the token where reading stopped.  The formula grammar
-is parsed with the vocabulary in hand, so identifiers are classified as
-relations, functions, constants, or variables at parse time.  Printing is
-canonical: parse(print(ast)) is structurally identical to ast.
+All formats are line-oriented text; `#` starts a comment.  Each line is
+read by one `findall` into token texts, and each token's kind follows from
+its text.  One cursor over those lists reads every grammar, and formulas
+with one loop over an explicit stack, so any nesting depth parses.  Columns
+are found only for an error, by reading its line again, so each error
+points at the token where reading stopped.  The formula grammar is parsed
+with the vocabulary in hand, so identifiers are classified as relations,
+functions, constants, or variables at parse time.  Printing is canonical:
+parse(print(ast)) is structurally identical to ast.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, NamedTuple, TypeVar
+import string
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .diagnostics import Diagnostic, ParseError, Span
 from .syntax import (
@@ -42,103 +46,109 @@ _T = TypeVar("_T")
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# Whitespace matches no alternative, so `finditer` skips it without making
-# tokens; `\S` catches every character that no format uses.
+# Whitespace matches no alternative, so `findall` skips it; a comment runs to
+# the end of its line; `\S` catches every character that no format uses.
 _TOKEN = re.compile(
-    r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|->|[(){}\[\],./=&|~∀∃∧∨¬]"
-    r"|(?P<COMMENT>#)|(?P<BAD>\S)"
+    r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|->|[(){}\[\],./=&|~∀∃∧∨¬]|#.*|\S"
 )
-# Token kinds that differ from the token's text and from its group's name.
+# Keywords, Unicode aliases and punctuation have their own kinds; any other
+# token's kind follows from its first character, and is BAD outside ASCII.
 _KINDS = {
-    **{word: word for word in KEYWORDS},
+    **{text: text for text in (*KEYWORDS, *"(){}[],./=&|~", "->")},
     "∀": "forall", "∃": "exists", "∧": "&", "∨": "|", "¬": "~",
 }
+_CLASS = dict.fromkeys(string.digits, "INT") | dict.fromkeys(string.ascii_letters + "_", "IDENT")
 _ENDS = {"NL": "end of line", "EOF": "end of input"}
 
-
-class _Token(NamedTuple):
-    kind: str  # INT IDENT forall exists dep ( ) { } [ ] , . / = & | ~ -> NL EOF
-    value: str
-    line: int
-    col: int
-
-    def __str__(self) -> str:
-        return _ENDS.get(self.kind) or repr(self.value)
-
-    def error(self, message: str) -> ParseError:
-        end = self.col + max(1, len(self.value))
-        return ParseError(Diagnostic(message, Span(self.line, self.col, end)))
+# The tokens of one or more lines: kinds, texts, and for each line the index
+# of its first token, its number and its text, to find columns with.
+_Line = tuple[list[str], list[str], list[tuple[int, int, str]]]
 
 
-def _tokenize(text: str) -> Iterator[list[_Token]]:
+def _lines(text: str) -> Iterator[_Line]:
     """For each line that holds a token: its tokens, then an NL token where
     its text ends.  Last, an EOF token at the end of the last line.  Lines
     are read as they are asked for, so only one is held at a time."""
     lines = text.splitlines() or [""]
     for line_no, line in enumerate(lines, start=1):
-        tokens: list[_Token] = []
-        end = len(line)
-        for m in _TOKEN.finditer(line):
-            kind, value = m.lastgroup, m.group()
-            if kind == "COMMENT":
-                end = m.start()
-                break
-            if kind == "BAD":
-                raise _Token(kind, value, line_no, m.start()).error(
-                    f"unexpected character {value!r}"
-                )
-            tokens.append(_Token(_KINDS.get(value, kind or value), value, line_no, m.start()))
-        if tokens:
-            tokens.append(_Token("NL", "", line_no, end))
-            yield tokens
-    yield [_Token("EOF", "", len(lines), len(lines[-1]))]
+        texts = _TOKEN.findall(line)
+        if texts and texts[-1][0] == "#":
+            texts.pop()
+        if texts:
+            kinds = [_KINDS.get(t) or _CLASS.get(t[0], "BAD") for t in texts]
+            yield kinds + ["NL"], texts + [""], [(0, line_no, line)]
+    yield ["EOF"], [""], [(0, len(lines), lines[-1])]
 
 
 # ---------------------------------------------------------------------------
 # Reading tokens
 
 class _Cursor:
-    """A position in the tokenized lines, with one reader per grammar piece."""
+    """A position in the tokenized lines, with one reader per grammar piece.
+    A token is named by its index in the current line's `kinds` and
+    `texts`."""
 
-    def __init__(
-        self, lines: Iterator[list[_Token]], voc: Vocabulary = EMPTY_VOCABULARY
-    ) -> None:
+    def __init__(self, lines: Iterator[_Line], voc: Vocabulary = EMPTY_VOCABULARY) -> None:
         self.lines = lines
-        self.tokens = next(lines)
-        self.pos = 0
         self.voc = voc
+        self.load(next(lines))
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[self.pos + offset]
+    def load(self, line: _Line) -> None:
+        self.kinds, self.texts, self.rows = line
+        self.pos = 0
+        if "BAD" in self.kinds:
+            at = self.kinds.index("BAD")
+            raise self.error(f"unexpected character {self.texts[at]!r}", at)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind == "NL":
-            self.tokens, self.pos = next(self.lines), 0
-        elif tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """An error spanning token `at` of the current line, by default the
+        next token.  Its column is found by reading the line again."""
+        at = self.pos if at is None else at
+        first, line_no, line = [row for row in self.rows if row[0] <= at][-1]
+        # An NL token sits where its line's comment starts, or at its end.
+        cols = [m.start() for m in _TOKEN.finditer(line)] + [len(line)]
+        col = len(line) if self.kinds[at] == "EOF" else cols[at - first]
+        span = Span(line_no, col, col + max(1, len(self.texts[at])))
+        return ParseError(Diagnostic(message, span))
+
+    def found(self) -> str:
+        """The next token, as an error message names it."""
+        return _ENDS.get(self.kinds[self.pos]) or repr(self.texts[self.pos])
+
+    def peek(self) -> str:
+        return self.kinds[self.pos]
+
+    def skip(self) -> str:
+        """Consume the next token, which is not NL, and return its text."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
     def accept(self, kind: str) -> bool:
-        if self.tokens[self.pos].kind == kind:
-            self.next()
-            return True
-        return False
+        if self.kinds[self.pos] != kind:
+            return False
+        self.pos += 1
+        return True
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise tok.error(f"expected {what}, found {tok}")
-        return tok
+    def expect(self, kind: str, what: str) -> str:
+        """Consume a token of this kind, which is not NL, and return its text."""
+        if self.kinds[self.pos] != kind:
+            raise self.error(f"expected {what}, found {self.found()}")
+        return self.skip()
 
-    def name(self, what: str) -> _Token:
+    def end_line(self) -> None:
+        """Consume the NL that ends the current line and move to the next."""
+        if self.kinds[self.pos] != "NL":
+            raise self.error(f"expected end of line, found {self.found()}")
+        self.load(next(self.lines))
+
+    def name(self, what: str) -> str:
         """An identifier that is not a keyword."""
-        tok = self.next()
-        if tok.kind in KEYWORDS:
-            raise tok.error(f"{tok.value!r} is reserved")
-        if tok.kind != "IDENT":
-            raise tok.error(f"expected {what}, found {tok}")
-        return tok
+        kind = self.kinds[self.pos]
+        if kind in KEYWORDS:
+            raise self.error(f"{self.texts[self.pos]!r} is reserved")
+        if kind != "IDENT":
+            raise self.error(f"expected {what}, found {self.found()}")
+        return self.skip()
 
     def items(self, close: str, item: Callable[[], _T]) -> list[_T]:
         """`item, ..., item` up to the `close` bracket, which is consumed;
@@ -149,139 +159,155 @@ class _Cursor:
             return out
         while True:
             out.append(item())
-            tok = self.next()
-            if tok.kind == close:
+            kind = self.kinds[self.pos]
+            if kind != "," and kind != close:
+                raise self.error(f"expected ',' or '{close}', found {self.found()}")
+            self.pos += 1
+            if kind == close:
                 return out
-            if tok.kind != ",":
-                raise tok.error(f"expected ',' or '{close}', found {tok}")
 
     def element(self, size: int, what: str) -> int:
-        tok = self.expect("INT", "a domain element")
-        value = int(tok.value)
+        value = int(self.expect("INT", "a domain element"))
         if value >= size:
-            raise tok.error(f"{what} {value} out of domain 0..{size - 1}")
+            raise self.error(f"{what} {value} out of domain 0..{size - 1}", self.pos - 1)
         return value
 
     def row(self, size: int, arity: int, what: str) -> tuple[int, ...]:
         """`(e, ..., e)`, or one bare element."""
-        start = self.peek()
+        at = self.pos
         if self.accept("("):
             values = tuple(self.items(")", lambda: self.element(size, what)))
         else:
             values = (self.element(size, what),)
         if len(values) != arity:
-            raise start.error(f"tuple has {len(values)} entries, expected {arity}")
+            raise self.error(f"tuple has {len(values)} entries, expected {arity}", at)
         return values
 
     def declaration(self, declared: set[str]) -> tuple[str, str, int]:
         """`relation NAME/ARITY`, `function NAME/ARITY` or `constant NAME`;
         the name is added to `declared`."""
-        kw = self.next()
-        if kw.value not in ("relation", "function", "constant"):
-            raise kw.error(f"expected `relation`, `function` or `constant`, found {kw}")
+        kw = self.texts[self.pos]
+        if kw not in ("relation", "function", "constant"):
+            raise self.error(f"expected `relation`, `function` or `constant`, found {self.found()}")
+        self.pos += 1
         name = self.name("a symbol name")
-        if name.value in declared:
-            raise name.error(f"duplicate symbol {name.value}")
-        declared.add(name.value)
-        if kw.value == "constant":
-            return kw.value, name.value, 0
+        if name in declared:
+            raise self.error(f"duplicate symbol {name}", self.pos - 1)
+        declared.add(name)
+        if kw == "constant":
+            return kw, name, 0
         self.expect("/", "'/' after the symbol name")
-        arity_tok = self.expect("INT", "an arity")
-        arity = int(arity_tok.value)
-        if kw.value == "function" and arity < 1:
-            raise arity_tok.error("function arity must be positive")
-        return kw.value, name.value, arity
+        arity = int(self.expect("INT", "an arity"))
+        if kw == "function" and arity < 1:
+            raise self.error("function arity must be positive", self.pos - 1)
+        return kw, name, arity
 
     # formula grammar -------------------------------------------------------
 
     def formula(self) -> Formula:
-        if self.peek().kind in ("forall", "exists"):
-            return self.quantified()
-        return self.disjunction()
-
-    def quantified(self) -> Formula:
-        kw = self.next()
-        var = self.name("a variable name")
-        if self.voc.declares(var.value):
-            raise var.error(f"bound variable {var.value!r} collides with a declared symbol")
-        self.expect(".", "'.' after the bound variable")
-        body = self.formula()
-        return Forall(var.value, body) if kw.kind == "forall" else Exists(var.value, body)
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.accept("|"):
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.accept("&"):
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            body = self.unary()
-            try:
-                return Not(body)
-            except NegationScopeError:
-                raise tok.error(
-                    "negation may only be applied to first-order formulas"
-                ) from None
-        if tok.kind in ("forall", "exists"):
-            return self.quantified()
-        if tok.kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")", "')'")
-            return f
-        return self.atom()
+        """A formula, read by one loop over an explicit stack.  `~` binds
+        tightest, then `&`, then `|`; both nest to the left; a quantifier's
+        body extends as far right as it can.  A frame holds an open `~`,
+        `(` or quantifier, and the `|` and `&` operands read so far in the
+        context it interrupts."""
+        kinds, stack = self.kinds, []
+        ors: Optional[Formula] = None
+        ands: Optional[Formula] = None
+        while True:
+            kind = kinds[self.pos]
+            if kind == "~" or kind == "(" or kind == "forall" or kind == "exists":
+                arg: Union[int, str] = self.pos
+                self.pos += 1
+                if kind == "forall" or kind == "exists":
+                    arg = self.name("a variable name")
+                    if self.voc.declares(arg):
+                        raise self.error(
+                            f"bound variable {arg!r} collides with a declared symbol", self.pos - 1
+                        )
+                    self.expect(".", "'.' after the bound variable")
+                stack.append((kind, arg, ors, ands))
+                ors = ands = None
+                continue
+            f = self.atom()
+            while True:  # close what f completes, up to the next `&` or `|`
+                kind = kinds[self.pos]
+                if stack and stack[-1][0] == "~":
+                    _, arg, ors, ands = stack.pop()
+                    try:
+                        f = Not(f)
+                    except NegationScopeError:
+                        raise self.error(
+                            "negation may only be applied to first-order formulas", arg
+                        ) from None
+                elif kind == "&" or kind == "|":
+                    ands = f if ands is None else And(ands, f)
+                    if kind == "|":
+                        ors = ands if ors is None else Or(ors, ands)
+                        ands = None
+                    self.pos += 1
+                    break
+                else:
+                    if ands is not None:
+                        f = And(ands, f)
+                    if ors is not None:
+                        f = Or(ors, f)
+                    if not stack:
+                        return f
+                    opener, arg, ors, ands = stack.pop()
+                    if opener == "(":
+                        self.expect(")", "')'")
+                    else:
+                        f = (Forall if opener == "forall" else Exists)(arg, f)
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in ("dep", "=") and self.peek(1).kind == "(":
-            self.pos += 2
+        at = self.pos
+        kind = self.kinds[at]
+        if (kind == "dep" or kind == "=") and self.kinds[at + 1] == "(":
+            self.pos = at + 2
             return Dep(tuple(self.items(")", self.term)))
-        if tok.kind == "IDENT" and tok.value in self.voc.relations:
-            self.next()
+        name = self.texts[at]
+        if kind == "IDENT" and name in self.voc.relations:
+            self.pos = at + 1
             args = self.items(")", self.term) if self.accept("(") else []
-            arity = self.voc.relations[tok.value]
-            if len(args) != arity:
-                raise tok.error(
-                    f"relation {tok.value} expects {arity} arguments, got {len(args)}"
-                )
-            return Rel(tok.value, tuple(args))
+            return Rel(name, self.arguments(args, "relation", self.voc.relations[name], at))
         left = self.term()
         self.expect("=", "'=' after a term")
         return Eq(left, self.term())
 
     def term(self) -> Term:
-        tok = self.name("a term")
-        name = tok.value
+        at = self.pos
+        name = self.name("a term")
         if name in self.voc.functions:
             self.expect("(", f"'(' after function {name}")
             args = self.items(")", self.term)
-            arity = self.voc.functions[name]
-            if len(args) != arity:
-                raise tok.error(
-                    f"function {name} expects {arity} arguments, got {len(args)}"
-                )
-            return Apply(name, tuple(args))
+            return Apply(name, self.arguments(args, "function", self.voc.functions[name], at))
         if name in self.voc.constants:
             return Const(name)
         if name in self.voc.relations:
-            raise tok.error(f"relation {name} used in term position")
+            raise self.error(f"relation {name} used in term position", at)
         return Var(name)
+
+    def arguments(self, args: list[Term], symbol: str, arity: int, at: int) -> tuple[Term, ...]:
+        """The arguments of the symbol at token `at`, which takes `arity` of them."""
+        if len(args) != arity:
+            plural = "" if arity == 1 else "s"
+            raise self.error(
+                f"{symbol} {self.texts[at]} expects {arity} argument{plural}, got {len(args)}", at
+            )
+        return tuple(args)
 
 
 def parse_formula(src: str, voc: Vocabulary) -> Formula:
     """Parse a formula; identifiers are classified against the vocabulary.
-    The formula may span lines."""
-    tokens = [t for line in _tokenize(src) for t in line if t.kind != "NL"]
-    cursor = _Cursor(iter([tokens]), voc)
+    The formula may span lines: their tokens are read as one line."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    rows: list[tuple[int, int, str]] = []
+    for line_kinds, line_texts, [(_, line_no, line)] in _lines(src):
+        rows.append((len(kinds), line_no, line))
+        kinds += line_kinds[:-1]  # all but NL, or nothing for EOF
+        texts += line_texts[:-1]
+    cursor = _Cursor(iter([(kinds + ["EOF"], texts + [""], rows)]), voc)
     f = cursor.formula()
     cursor.expect("EOF", "end of input")
     return f
@@ -302,37 +328,36 @@ def format_term(t: Term) -> str:
 
 
 def print_formula(phi: Formula, unicode_symbols: bool = False) -> str:
-    """Canonical text; binary connectives are fully parenthesized."""
+    """Canonical text; binary connectives are fully parenthesized.  The
+    pieces still to print are kept on an explicit stack, last piece first,
+    so any nesting depth prints."""
     sym = _PRETTY if unicode_symbols else _ASCII
-
-    def operand(f: Formula) -> str:
-        if isinstance(f, (Exists, Forall)):
-            return f"({go(f)})"
-        return go(f)
-
-    def go(f: Formula) -> str:
-        if isinstance(f, Rel):
-            if not f.args:
-                return f.name
-            return f"{f.name}({', '.join(format_term(a) for a in f.args)})"
-        if isinstance(f, Eq):
-            return f"{format_term(f.left)} = {format_term(f.right)}"
-        if isinstance(f, Dep):
-            return f"dep({', '.join(format_term(a) for a in f.args)})"
-        if isinstance(f, Not):
-            if isinstance(f.body, (Rel, Not)):
-                return sym["not"] + go(f.body)
-            return sym["not"] + f"({go(f.body)})"
-        if isinstance(f, And):
-            return f"({operand(f.left)} {sym['and']} {operand(f.right)})"
-        if isinstance(f, Or):
-            return f"({operand(f.left)} {sym['or']} {operand(f.right)})"
-        if isinstance(f, Exists):
-            return f"{sym['exists']}{f.var}. {go(f.body)}"
-        assert isinstance(f, Forall)
-        return f"{sym['forall']}{f.var}. {go(f.body)}"
-
-    return go(phi)
+    out: list[str] = []
+    todo: list[Union[Formula, str]] = [phi]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, str):
+            out.append(f)
+        elif isinstance(f, Rel):
+            out.append(f"{f.name}({', '.join(map(format_term, f.args))})" if f.args else f.name)
+        elif isinstance(f, Eq):
+            out.append(f"{format_term(f.left)} = {format_term(f.right)}")
+        elif isinstance(f, Dep):
+            out.append(f"dep({', '.join(map(format_term, f.args))})")
+        elif isinstance(f, Not):
+            out.append(sym["not"])
+            todo += [f.body] if isinstance(f.body, (Rel, Not)) else [")", f.body, "("]
+        elif isinstance(f, (And, Or)):
+            out.append("(")
+            todo.append(")")
+            for g in (f.right, f" {sym['and' if isinstance(f, And) else 'or']} ", f.left):
+                # A quantified operand is parenthesized.
+                todo += [")", g, "("] if isinstance(g, (Exists, Forall)) else [g]
+        else:
+            assert isinstance(f, (Exists, Forall))
+            out.append(f"{sym['exists' if isinstance(f, Exists) else 'forall']}{f.var}. ")
+            todo.append(f.body)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +365,13 @@ def print_formula(phi: Formula, unicode_symbols: bool = False) -> str:
 
 def parse_vocabulary(src: str) -> Vocabulary:
     """Declarations only: `relation R/2`, `function f/1`, `constant c`."""
-    cursor = _Cursor(_tokenize(src))
+    cursor = _Cursor(_lines(src))
     arities: dict[str, dict[str, int]] = {"relation": {}, "function": {}, "constant": {}}
     declared: set[str] = set()
-    while cursor.peek().kind != "EOF":
+    while cursor.peek() != "EOF":
         kind, name, arity = cursor.declaration(declared)
         arities[kind][name] = arity
-        cursor.expect("NL", "end of line")
+        cursor.end_line()
     return Vocabulary(
         arities["relation"], arities["function"], frozenset(arities["constant"])
     )
@@ -362,17 +387,15 @@ def parse_model(src: str) -> tuple[Vocabulary, Model]:
     `relation R/<arity> = {(...), ...}`, and
     `function f/<arity> = [<args>-><val>, ...]` lines in any order.
     """
-    cursor = _Cursor(_tokenize(src))
-    head = cursor.next()
-    if head.kind == "EOF":
-        raise head.error("empty model file")
-    if head.value != "domain":
-        raise head.error("a model file must start with `domain <k>`")
-    size_tok = cursor.expect("INT", "the domain size")
-    size = int(size_tok.value)
+    cursor = _Cursor(_lines(src))
+    if cursor.peek() == "EOF":
+        raise cursor.error("empty model file")
+    if cursor.skip() != "domain":
+        raise cursor.error("a model file must start with `domain <k>`", 0)
+    size = int(cursor.expect("INT", "the domain size"))
     if size < 1:
-        raise size_tok.error("domain must be non-empty")
-    cursor.expect("NL", "end of line")
+        raise cursor.error("domain must be non-empty", cursor.pos - 1)
+    cursor.end_line()
 
     relations: dict[str, frozenset[tuple[int, ...]]] = {}
     rel_arities: dict[str, int] = {}
@@ -381,7 +404,7 @@ def parse_model(src: str) -> tuple[Vocabulary, Model]:
     constants: dict[str, int] = {}
     declared: set[str] = set()
 
-    while cursor.peek().kind != "EOF":
+    while cursor.peek() != "EOF":
         kind, name, arity = cursor.declaration(declared)
         cursor.expect("=", "'='")
         if kind == "constant":
@@ -396,24 +419,26 @@ def parse_model(src: str) -> tuple[Vocabulary, Model]:
             table: dict[tuple[int, ...], int] = {}
 
             def mapping() -> None:
-                start = cursor.peek()
+                at = cursor.pos
                 args = cursor.row(size, arity, f"function {name} argument")
                 cursor.expect("->", "'->'")
                 value = cursor.element(size, f"function {name} value")
                 if args in table:
-                    raise start.error(f"function {name} defines {args} twice")
+                    raise cursor.error(f"function {name} defines {args} twice", at)
                 table[args] = value
 
-            bracket = cursor.expect("[", "'['")
+            bracket = cursor.pos
+            cursor.expect("[", "'['")
             cursor.items("]", mapping)
             if len(table) != size**arity:
-                raise bracket.error(
+                raise cursor.error(
                     f"partial table for function {name}: "
-                    f"{size**arity - len(table)} entries missing"
+                    f"{size**arity - len(table)} entries missing",
+                    bracket,
                 )
             functions[name] = table
             fn_arities[name] = arity
-        cursor.expect("NL", "end of line")
+        cursor.end_line()
 
     voc = Vocabulary(rel_arities, fn_arities, frozenset(constants))
     model = Model(size, relations, functions, constants)
@@ -449,33 +474,33 @@ def format_model(voc: Vocabulary, m: Model) -> str:
 def parse_team(src: str, m: Model) -> Team:
     """Parse `vars x y` followed by one whitespace-separated row per line;
     `()` is the one row of a team without variables."""
-    cursor = _Cursor(_tokenize(src))
-    head = cursor.next()
-    if head.kind == "EOF":
-        raise head.error("empty team file")
-    if head.value != "vars":
-        raise head.error("a team file must start with a `vars` line")
+    cursor = _Cursor(_lines(src))
+    if cursor.peek() == "EOF":
+        raise cursor.error("empty team file")
+    if cursor.skip() != "vars":
+        raise cursor.error("a team file must start with a `vars` line", 0)
     variables: list[str] = []
-    while not cursor.accept("NL"):
+    while cursor.peek() != "NL":
         var = cursor.name("a variable name")
-        if var.value in variables:
-            raise var.error("a variable is named twice")
-        if var.value in m.constants or var.value in m.functions or var.value in m.relations:
-            raise var.error(f"variable {var.value} collides with a model symbol")
-        variables.append(var.value)
+        if var in variables:
+            raise cursor.error("a variable is named twice", cursor.pos - 1)
+        if var in m.constants or var in m.functions or var in m.relations:
+            raise cursor.error(f"variable {var} collides with a model symbol", cursor.pos - 1)
+        variables.append(var)
+    cursor.end_line()
 
     rows: set[Assignment] = set()
-    while cursor.peek().kind != "EOF":
-        start = cursor.peek()
+    while cursor.peek() != "EOF":
+        at = cursor.pos
         values: list[int] = []
         if cursor.accept("("):
             cursor.expect(")", "')'")
         else:
-            while cursor.peek().kind != "NL":
+            while cursor.peek() != "NL":
                 values.append(cursor.element(m.size, "value"))
         if len(values) != len(variables):
-            raise start.error(f"row has {len(values)} values, expected {len(variables)}")
-        cursor.expect("NL", "end of line")
+            raise cursor.error(f"row has {len(values)} values, expected {len(variables)}", at)
+        cursor.end_line()
         rows.add(Assignment(tuple(zip(variables, values))))
     return Team(frozenset(variables), frozenset(rows))
 
@@ -497,50 +522,49 @@ def format_team(team: Team) -> str:
 
 def parse_proof(src: str, voc: Vocabulary) -> Proof:
     """Parse `<idx>. <formula> <rule> [premises] [discharge <idx list>]` lines."""
-    cursor = _Cursor(_tokenize(src), voc)
+    cursor = _Cursor(_lines(src), voc)
     steps: list[ProofStep] = []
     seen: set[int] = set()
 
     def references() -> tuple[int, ...]:
         refs = []
-        while cursor.peek().kind == "INT":
-            tok = cursor.next()
-            if int(tok.value) not in seen:
-                raise tok.error(f"dangling reference to step {tok.value}")
-            refs.append(int(tok.value))
+        while cursor.peek() == "INT":
+            text = cursor.skip()
+            if int(text) not in seen:
+                raise cursor.error(f"dangling reference to step {text}", cursor.pos - 1)
+            refs.append(int(text))
         return tuple(refs)
 
-    while cursor.peek().kind != "EOF":
-        index_tok = cursor.expect("INT", "a step index")
-        index = int(index_tok.value)
+    while cursor.peek() != "EOF":
+        index = int(cursor.expect("INT", "a step index"))
         if index <= (steps[-1].index if steps else 0):
-            raise index_tok.error(f"step indices must increase (got {index})")
+            raise cursor.error(f"step indices must increase (got {index})", cursor.pos - 1)
         cursor.expect(".", "'.' after the step index")
         formula = cursor.formula()
         rule = cursor.expect("IDENT", "a rule name")
-        if rule.value not in RULES:
-            raise rule.error(f"unknown rule name {rule.value!r}")
+        if rule not in RULES:
+            raise cursor.error(f"unknown rule name {rule!r}", cursor.pos - 1)
         premises = references()
         discharged: tuple[int, ...] = ()
-        if cursor.peek().value == "discharge":
-            cursor.next()
-            if cursor.peek().kind != "INT":
-                raise cursor.peek().error("`discharge` must be followed by step indices")
+        if cursor.texts[cursor.pos] == "discharge":
+            cursor.skip()
+            if cursor.peek() != "INT":
+                raise cursor.error("`discharge` must be followed by step indices")
             discharged = references()
-        cursor.expect("NL", "end of line")
-        steps.append(ProofStep(index, formula, rule.value, premises, discharged))
+        cursor.end_line()
+        steps.append(ProofStep(index, formula, rule, premises, discharged))
         seen.add(index)
 
     if not steps:
-        raise cursor.peek().error("empty proof script")
+        raise cursor.error("empty proof script")
     return Proof(tuple(steps))
 
 
 def parse_hypotheses(src: str, voc: Vocabulary) -> list[Formula]:
     """One formula per line."""
-    cursor = _Cursor(_tokenize(src), voc)
+    cursor = _Cursor(_lines(src), voc)
     out = []
-    while cursor.peek().kind != "EOF":
+    while cursor.peek() != "EOF":
         out.append(cursor.formula())
-        cursor.expect("NL", "end of line")
+        cursor.end_line()
     return out

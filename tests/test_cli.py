@@ -2,6 +2,7 @@
 
 import pytest
 
+from deplogic import parse_formula, parse_vocabulary, print_formula
 from deplogic.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 
 from helpers import EXAMPLE3_TEXT
@@ -16,12 +17,23 @@ def assert_one_line_error(capsys):
 
 
 class TestRecursionLimit:
-    def test_deep_approximation_exits_2(self, tmp_path, capsys):
+    def test_deep_approximation_prints(self, tmp_path, capsys):
         vocab = tmp_path / "v.txt"
         vocab.write_text("constant c\n")
         argv = ["approx", "--vocab", str(vocab), "--formula", EXAMPLE3_TEXT, "--n", "60"]
-        assert main(argv) == EXIT_USAGE
-        assert_one_line_error(capsys)
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "∀x_59. ∃y_59. ∃z_59. " in out
+        voc = parse_vocabulary("constant c\n")
+        assert print_formula(parse_formula(out, voc), unicode_symbols=True) == out.rstrip("\n")
+
+    def test_deeply_nested_parentheses_print(self, capsys):
+        assert main(["parse", "--formula", "(" * 3000 + "x = x" + ")" * 3000]) == EXIT_OK
+        assert capsys.readouterr().out == "x = x\n"
+
+    def test_long_chain_prints(self, capsys):
+        assert main(["parse", "--ascii", "--formula", " | ".join(["x = x"] * 5000)]) == EXIT_OK
+        assert capsys.readouterr().out == "(" * 4999 + "x = x" + " | x = x)" * 4999 + "\n"
 
     def test_deeply_nested_negation_exits_2(self, capsys):
         assert main(["parse", "--formula", "~" * 3000 + "x = x"]) == EXIT_USAGE

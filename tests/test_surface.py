@@ -141,7 +141,10 @@ class TestErrorCorpus:
         ("formula", "A & ~(P(x) | dep(x))",
          "1:4-5: negation may only be applied to first-order formulas"),
         ("formula", "R(x)", "1:0-1: relation R expects 2 arguments, got 1"),
-        ("formula", "P(x, y)", "1:0-1: relation P expects 1 arguments, got 2"),
+        ("formula", "P", "1:0-1: relation P expects 1 argument, got 0"),
+        ("formula", "P(x, y)", "1:0-1: relation P expects 1 argument, got 2"),
+        ("formula", "A(x)", "1:0-1: relation A expects 0 arguments, got 1"),
+        ("formula", "f(x, y) = x", "1:0-1: function f expects 1 argument, got 2"),
         ("formula", "g(x) = x", "1:0-1: function g expects 2 arguments, got 1"),
         ("formula", "x = R", "1:4-5: relation R used in term position"),
         ("formula", "f = x", "1:2-3: expected '(' after function f, found '='"),
@@ -182,6 +185,8 @@ class TestErrorCorpus:
         ("proof", "1. c = c assume )", "1:16-17: expected end of line, found ')'"),
         ("proof", "1. (c = c\n", "1:9-10: expected ')', found end of line"),
         ("proof", "1. (c = c  # open\n) assume", "1:11-12: expected ')', found end of line"),
+        # an error at the end of a line comes before any in the next line
+        ("proof", "1. (c = c\n$", "1:9-10: expected ')', found end of line"),
         ("proof", "1. c = c assume\n2. forall x. assume",
          "2:19-20: expected '=' after a term, found end of line"),
         ("proof", "# only\n", "1:6-7: empty proof script"),
@@ -243,6 +248,50 @@ class TestErrorCorpus:
         span = e.value.diagnostic.span
         got = f"{span.line}:{span.col_start}-{span.col_end}: {e.value.diagnostic.message}"
         assert got == expected
+
+
+class TestDepth:
+    """Formulas nested far past the interpreter's recursion limit parse and
+    print.  Results are compared by walking them, since `==` on nested
+    dataclasses recurses."""
+
+    N = 5000
+
+    def spine(self, phi, kind, down):
+        """The nodes of type kind on the path that down follows from phi,
+        and the formula where the path leaves them."""
+        count = 0
+        while isinstance(phi, kind):
+            phi, count = down(phi), count + 1
+        return count, phi
+
+    def test_nested_parentheses(self):
+        assert parse_formula("(" * self.N + "x = x" + ")" * self.N, EMPTY) == Eq(x, x)
+
+    @pytest.mark.parametrize("op, kind", [("&", And), ("|", Or)])
+    @pytest.mark.parametrize("sep", [" ", "\n"])
+    def test_chain_nests_to_the_left(self, op, kind, sep):
+        text = f"{sep}{op} ".join(f"x = y" if i == self.N - 1 else "x = x" for i in range(self.N))
+        phi = parse_formula(text, EMPTY)
+        assert phi.right == Eq(x, y)
+        assert self.spine(phi, kind, lambda f: f.left) == (self.N - 1, Eq(x, x))
+
+    def test_nested_quantifiers(self):
+        text = "".join(f"{'forall' if i % 2 else 'exists'} v{i}. " for i in range(self.N))
+        phi = parse_formula(text + "x = x", EMPTY)
+        assert isinstance(phi, Exists) and phi.var == "v0"
+        assert self.spine(phi, (Exists, Forall), lambda f: f.body) == (self.N, Eq(x, x))
+
+    def test_quantifier_body_extends_right_inside_a_chain(self):
+        text = " & ".join(["x = x"] * self.N) + " & forall x. x = x & x = y | x = x"
+        phi = parse_formula(text, EMPTY)
+        assert phi.right == Forall("x", Or(And(Eq(x, x), Eq(x, y)), Eq(x, x)))
+        assert self.spine(phi.left, And, lambda f: f.left) == (self.N - 1, Eq(x, x))
+
+    def test_print_chain(self):
+        phi = parse_formula(" & ".join(["x = x"] * self.N), EMPTY)
+        text = print_formula(phi)
+        assert text == "(" * (self.N - 1) + "x = x" + " & x = x)" * (self.N - 1)
 
 
 class TestPrintFormula:
