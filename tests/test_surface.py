@@ -258,8 +258,8 @@ class TestDepth:
     N = 5000
 
     def spine(self, phi, kind, down):
-        """The nodes of type kind on the path that down follows from phi,
-        and the formula where the path leaves them."""
+        """How many nodes of type kind the path that down follows from phi
+        passes through, and the formula where it leaves them."""
         count = 0
         while isinstance(phi, kind):
             phi, count = down(phi), count + 1
@@ -271,7 +271,7 @@ class TestDepth:
     @pytest.mark.parametrize("op, kind", [("&", And), ("|", Or)])
     @pytest.mark.parametrize("sep", [" ", "\n"])
     def test_chain_nests_to_the_left(self, op, kind, sep):
-        text = f"{sep}{op} ".join(f"x = y" if i == self.N - 1 else "x = x" for i in range(self.N))
+        text = f"{sep}{op} ".join("x = y" if i == self.N - 1 else "x = x" for i in range(self.N))
         phi = parse_formula(text, EMPTY)
         assert phi.right == Eq(x, y)
         assert self.spine(phi, kind, lambda f: f.left) == (self.N - 1, Eq(x, x))
