@@ -24,7 +24,6 @@ from .syntax import (
     Var,
     Vocabulary,
     VocabularyError,
-    alpha_equal,
     free_vars,
     fresh_variable,
     infer_vocabulary,
@@ -42,9 +41,6 @@ from .semantics import (
     SearchBudget,
     Team,
     equiv_on_small_models,
-    eval_term,
-    fo_satisfies,
-    make_team,
     satisfies,
     sentence_true,
 )

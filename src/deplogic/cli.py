@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success/true/accepted, 1 false/rejected/counterexample,
-2 usage or input errors, including formulas nested too deeply to read,
-evaluate or print within Python's recursion limit, 3 budget exceeded.
+2 usage or input errors, including an input file that cannot be read and
+formulas nested too deeply to read, evaluate or print within Python's
+recursion limit, 3 budget exceeded.
 
 Only the commands that search take --budget (eval, equiv, chain), and only
 the commands that print a formula take --ascii (parse, normalize, approx).
@@ -47,16 +48,14 @@ EXIT_BUDGET = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.code = code
+    """An input the command cannot use, such as a file it cannot read."""
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e.strerror}") from e
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -129,12 +128,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     voc = _vocabulary(args)
     f1 = parse_formula(args.f1, voc)
     f2 = parse_formula(args.f2, voc)
-    result = equiv_on_small_models(f1, f2, args.max_size, _budget(args))
-    if result.equivalent:
+    ce = equiv_on_small_models(f1, f2, args.max_size, _budget(args)).counterexample
+    if ce is None:
         print("equivalent")
         return EXIT_OK
-    ce = result.counterexample
-    assert ce is not None
     print("counterexample")
     print(format_model(voc, ce.model), end="")
     print(format_team(ce.team), end="")
@@ -233,10 +230,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as e:
         print(f"error: {e.diagnostic}", file=sys.stderr)
         return EXIT_USAGE
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (NormalFormError, SemanticsError, VocabularyError, ValueError) as e:
+    except (CliError, NormalFormError, SemanticsError, VocabularyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

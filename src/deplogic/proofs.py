@@ -102,12 +102,15 @@ class Proof:
 
 @dataclass(frozen=True)
 class CheckReport:
-    verdict: str  # "accepted" | "rejected"
     failures: tuple[tuple[int, Diagnostic], ...] = ()
 
     @property
     def accepted(self) -> bool:
-        return self.verdict == "accepted"
+        return not self.failures
+
+    @property
+    def verdict(self) -> str:
+        return "accepted" if self.accepted else "rejected"
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +213,7 @@ def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
     ]
 
     failures.sort(key=lambda pair: pair[0])
-    verdict = "accepted" if not failures else "rejected"
-    return CheckReport(verdict, tuple(failures))
+    return CheckReport(tuple(failures))
 
 
 # ---------------------------------------------------------------------------

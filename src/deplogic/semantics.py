@@ -16,9 +16,9 @@ form).  A budget caps the number of candidates either search tries;
 exceeding it raises BudgetExceededError rather than guessing.
 
 First-order parts are evaluated one way everywhere, in both searches and
-in `fo_satisfies`: each is compiled once per model and call into closures
-over a slot-indexed environment, which then run for every row, value or
-tuple tried.
+for first-order sentences: each is compiled once per model and call into
+closures over a slot-indexed environment, which then run for every row,
+value or tuple tried.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ from .syntax import (
 
 class SemanticsError(Exception):
     """Base for evaluation errors."""
-
-
-class UnboundVariableError(SemanticsError):
-    pass
-
-
-class NotFirstOrderError(SemanticsError):
-    pass
 
 
 class TeamError(SemanticsError):
@@ -131,14 +123,6 @@ class Team:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def make_team(variables: Iterable[str], rows: Iterable[Mapping[str, int]]) -> Team:
-    """Convenience constructor from plain dicts."""
-    return Team(frozenset(variables), frozenset(Assignment(tuple(r.items())) for r in rows))
-
-
-EMPTY_DOMAIN_SINGLETON = Team(frozenset(), frozenset((Assignment(),)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +206,8 @@ class _Counter:
     def reset(self) -> None:
         self.remaining = self.points
 
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError("search budget exhausted")
 
@@ -235,34 +219,32 @@ class _Counter:
 # an environment, a flat list with one slot per variable.  Free variables get
 # the slots they are given; each quantifier gets the next slot by its depth,
 # so a shadowed variable has a slot of its own, and its loop writes that
-# slot.  Constants and function tables are looked up at compile time; a
-# missing one raises, like an unassigned variable, only when evaluation
-# reaches it.
+# slot.  Every caller slots every free variable.  Constants and function
+# tables are looked up at compile time; a missing one raises only when
+# evaluation reaches it.
 
 _TermCode = Callable[[list[int]], int]
 _Code = Callable[[list[int]], bool]
 
 
-def _fail(error: type[SemanticsError], message: str) -> _TermCode:
+def _fail(message: str) -> _TermCode:
     def fail(env: list[int]) -> int:
-        raise error(message)
+        raise SemanticsError(message)
 
     return fail
 
 
 def _compile_term(m: Model, t: Term, slots: Mapping[str, int]) -> _TermCode:
     if isinstance(t, Var):
-        if t.name not in slots:
-            return _fail(UnboundVariableError, f"variable {t.name} is not assigned")
         return itemgetter(slots[t.name])
     if isinstance(t, Const):
         if t.name not in m.constants:
-            return _fail(SemanticsError, f"constant {t.name} not interpreted")
+            return _fail(f"constant {t.name} not interpreted")
         value = m.constants[t.name]
         return lambda env: value
     assert isinstance(t, Apply)
     if t.func not in m.functions:
-        return _fail(SemanticsError, f"function {t.func} not interpreted")
+        return _fail(f"function {t.func} not interpreted")
     table = m.functions[t.func]
     args = [_compile_term(m, u, slots) for u in t.args]
     if len(args) == 1:
@@ -272,10 +254,8 @@ def _compile_term(m: Model, t: Term, slots: Mapping[str, int]) -> _TermCode:
 
 
 def _compile_atom(m: Model, phi: Formula, slots: Mapping[str, int]) -> _Code:
-    if isinstance(phi, Dep):
-        raise NotFirstOrderError("dependence atom in first-order evaluation")
     terms = atom_terms(phi)
-    plain = [slots.get(t.name) if isinstance(t, Var) else None for t in terms]
+    plain = [slots[t.name] if isinstance(t, Var) else None for t in terms]
     direct = None not in plain
     if isinstance(phi, Eq):
         if direct:
@@ -338,39 +318,8 @@ def _compile(m: Model, phi: Formula, slots: Mapping[str, int]) -> tuple[_Code, i
     return code, width
 
 
-def _compile_all(
-    m: Model, parts: list[Formula], slots: Mapping[str, int]
-) -> tuple[Optional[_Code], int]:
-    """`_compile` for the conjunction of parts; no code when there are none."""
-    return _compile(m, conjoin(parts), slots) if parts else (None, len(slots))
-
-
 def _slots(variables: Iterable[str]) -> dict[str, int]:
     return {v: i for i, v in enumerate(sorted(variables))}
-
-
-def _env(s: Assignment, slots: Mapping[str, int], width: int) -> list[int]:
-    env = [0] * width
-    for v, a in s.items:
-        env[slots[v]] = a
-    return env
-
-
-def eval_term(m: Model, s: Assignment, t: Term) -> int:
-    """Value of a term under an assignment, by table lookup."""
-    slots = _slots(s.variables)
-    return _compile_term(m, t, slots)(_env(s, slots, len(slots)))
-
-
-def fo_satisfies(m: Model, s: Assignment, phi: Formula) -> bool:
-    """Classical Tarski satisfaction; rejects dependence atoms."""
-    if not is_first_order(phi):
-        raise NotFirstOrderError("fo_satisfies requires a first-order formula")
-    if not free_vars(phi) <= s.variables:
-        raise FreeVariableError("assignment does not cover the free variables")
-    slots = _slots(s.variables)
-    code, width = _compile(m, phi, slots)
-    return code(_env(s, slots, width))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +531,7 @@ def sentence_true(
 
     A first-order sentence is evaluated by Tarski semantics.  Any other is
     brought into normal form and decided by the Skolem search, which agrees
-    with `satisfies(m, EMPTY_DOMAIN_SINGLETON, phi)`.
+    with `satisfies` on the team of the empty assignment.
     """
     if not is_sentence(phi):
         raise SentenceError(
@@ -619,7 +568,10 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
             universal_checks.append(part)
         else:
             checks[last - nx].append(part)
-    compiled = [_compile_all(m, parts, rank) for parts in [universal_checks, *checks]]
+    compiled = [
+        _compile(m, conjoin(parts), rank) if parts else (None, len(rank))
+        for parts in [universal_checks, *checks]
+    ]
     values = [0] * max(width for _, width in compiled)
     universal, *due_code = [code for code, _ in compiled]
     rows = list(itertools.product(range(m.size), repeat=nx))
@@ -681,11 +633,11 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class EquivResult:
-    equivalent: bool
     counterexample: Optional[Counterexample] = None
 
-    def __bool__(self) -> bool:
-        return self.equivalent
+    @property
+    def equivalent(self) -> bool:
+        return self.counterexample is None
 
 
 def enumerate_models(voc: Vocabulary, size: int) -> Iterator[Model]:
@@ -740,16 +692,6 @@ def _team(names: tuple[str, ...], rows: list[tuple[int, ...]], mask: int) -> Tea
     )
 
 
-def enumerate_teams(size: int, variables: frozenset[str]) -> Iterator[Team]:
-    """All teams over the given variables with values below size.  The
-    mask-th team holds the rows whose bits are set in mask, rows numbered
-    in ascending order as in `equiv_on_small_models`."""
-    names = tuple(sorted(variables))
-    rows = _all_rows(size, names)
-    for mask in range(1 << len(rows)):
-        yield _team(names, rows, mask)
-
-
 def equiv_on_small_models(
     phi: Formula,
     psi: Formula,
@@ -760,8 +702,8 @@ def equiv_on_small_models(
 
     The vocabulary is inferred from the formulas' symbol uses.  Every team
     over the union of free variables is tried as a mask over all rows of
-    the model, masks ascending, which is `enumerate_models` and then
-    `enumerate_teams` order; the first disagreement is reported.  Both
+    the model, masks ascending, models in `enumerate_models` order; the
+    first disagreement is reported.  Both
     formulas are compiled once per model over all its rows, so a subformula
     is decided at most once per team of a model.  Each formula on each team
     gets the whole budget; what an earlier team of the same model decided
@@ -784,5 +726,5 @@ def equiv_on_small_models(
                 counter.reset()
                 b = right(mask)
                 if a != b:
-                    return EquivResult(False, Counterexample(m, _team(names, rows, mask), a, b))
-    return EquivResult(True)
+                    return EquivResult(Counterexample(m, _team(names, rows, mask), a, b))
+    return EquivResult()

@@ -83,6 +83,11 @@ def _lines(text: str) -> Iterator[_Line]:
 # ---------------------------------------------------------------------------
 # Reading tokens
 
+def _count(n: int, one: str, many: str) -> str:
+    """n and its noun, singular after 1: `1 entry`, `2 entries`."""
+    return f"{n} {one if n == 1 else many}"
+
+
 class _Cursor:
     """A position in the tokenized lines, with one reader per grammar piece.
     A token is named by its index in the current line's `kinds` and
@@ -180,7 +185,9 @@ class _Cursor:
         else:
             values = (self.element(size, what),)
         if len(values) != arity:
-            raise self.error(f"tuple has {len(values)} entries, expected {arity}", at)
+            raise self.error(
+                f"tuple has {_count(len(values), 'entry', 'entries')}, expected {arity}", at
+            )
         return values
 
     def declaration(self, declared: set[str]) -> tuple[str, str, int]:
@@ -290,9 +297,10 @@ class _Cursor:
     def arguments(self, args: list[Term], symbol: str, arity: int, at: int) -> tuple[Term, ...]:
         """The arguments of the symbol at token `at`, which takes `arity` of them."""
         if len(args) != arity:
-            plural = "" if arity == 1 else "s"
             raise self.error(
-                f"{symbol} {self.texts[at]} expects {arity} argument{plural}, got {len(args)}", at
+                f"{symbol} {self.texts[at]} expects {_count(arity, 'argument', 'arguments')}, "
+                f"got {len(args)}",
+                at,
             )
         return tuple(args)
 
@@ -433,7 +441,7 @@ def parse_model(src: str) -> tuple[Vocabulary, Model]:
             if len(table) != size**arity:
                 raise cursor.error(
                     f"partial table for function {name}: "
-                    f"{size**arity - len(table)} entries missing",
+                    f"{_count(size**arity - len(table), 'entry', 'entries')} missing",
                     bracket,
                 )
             functions[name] = table
@@ -499,7 +507,9 @@ def parse_team(src: str, m: Model) -> Team:
             while cursor.peek() != "NL":
                 values.append(cursor.element(m.size, "value"))
         if len(values) != len(variables):
-            raise cursor.error(f"row has {len(values)} values, expected {len(variables)}", at)
+            raise cursor.error(
+                f"row has {_count(len(values), 'value', 'values')}, expected {len(variables)}", at
+            )
         cursor.end_line()
         rows.add(Assignment(tuple(zip(variables, values))))
     return Team(frozenset(variables), frozenset(rows))

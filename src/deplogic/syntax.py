@@ -410,11 +410,6 @@ def alpha_key(phi: Formula) -> tuple[object, ...]:
     return tuple(key)
 
 
-def alpha_equal(phi: Formula, psi: Formula) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-    return alpha_key(phi) == alpha_key(psi)
-
-
 def aligned_terms(
     a: Formula, b: Formula
 ) -> Optional[list[tuple[Term, Term, tuple[str, ...]]]]:

@@ -1,11 +1,11 @@
-"""Shared test utilities: random AST/model/team generators and the corpus
-of sentences used by the normal-form tests."""
+"""Shared test utilities: team constructors, random AST/model/team
+generators and the corpus of sentences used by the normal-form tests."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import Iterable, Iterator, Mapping
 
 from deplogic import (
     And,
@@ -30,7 +30,8 @@ from deplogic import (
     satisfies,
 )
 from deplogic.normalform import NormalFormSentence
-from deplogic.semantics import Assignment, enumerate_models, enumerate_teams
+from deplogic.semantics import Assignment, enumerate_models
+from deplogic.syntax import alpha_key
 
 VOC_EMPTY = Vocabulary()
 VOC_C = Vocabulary(constants={"c"})
@@ -41,6 +42,34 @@ VOC_F1 = Vocabulary(functions={"f": 1})
 VOC_F1C = Vocabulary(functions={"f": 1}, constants={"c"})
 
 SMALL_BUDGET = SearchBudget(200_000)
+
+
+# ---------------------------------------------------------------------------
+# Teams and formula comparison
+
+def make_team(variables: Iterable[str], rows: Iterable[Mapping[str, int]]) -> Team:
+    """A team from plain dict rows."""
+    return Team(frozenset(variables), frozenset(Assignment(tuple(r.items())) for r in rows))
+
+
+# The team of the empty assignment, which decides sentence truth.
+EMPTY_DOMAIN_SINGLETON = make_team([], [{}])
+
+
+def enumerate_teams(size: int, variables: frozenset[str]) -> Iterator[Team]:
+    """All teams over the given variables with values below size.  The
+    mask-th team holds the rows whose bits are set in mask, rows numbered in
+    ascending order, as `equiv_on_small_models` numbers them."""
+    names = sorted(variables)
+    values = itertools.product(range(size), repeat=len(names))
+    rows = [dict(zip(names, row)) for row in values]
+    for mask in range(1 << len(rows)):
+        yield make_team(names, [row for i, row in enumerate(rows) if mask >> i & 1])
+
+
+def alpha_equal(phi: Formula, psi: Formula) -> bool:
+    """Structural equality up to consistent renaming of bound variables."""
+    return alpha_key(phi) == alpha_key(psi)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from deplogic import (
     Rel,
     Var,
     Vocabulary,
-    alpha_equal,
     apply_rule8,
     approximation_chain_check,
     build_approximation,
@@ -30,6 +29,7 @@ from helpers import (
     SMALL_BUDGET,
     VOC_C,
     VOC_R1C,
+    alpha_equal,
     random_model,
     random_normal_form,
 )

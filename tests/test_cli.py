@@ -73,12 +73,16 @@ class TestCheckProof:
         assert main(argv) == EXIT_USAGE
         assert_one_line_error(capsys)
 
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["check-proof", "--proof", str(tmp_path)]) == EXIT_USAGE
+        assert_one_line_error(capsys)
+
 
 class TestExitCodes:
     """Exit codes of `eval`, `normalize`, `equiv` and `chain`.  `normalize`
     and `chain` have no negative verdict, so they never exit 1."""
 
-    M, V, X = "{model}", "{vocab}", "{missing}"
+    M, V, X, D = "{model}", "{vocab}", "{missing}", "{directory}"
     TRUE = "forall x. exists y. (dep(y) & y = c)"
     BROKEN = "forall x. (x = "
     # id: (argv, exit code, stdout or None)
@@ -88,6 +92,7 @@ class TestExitCodes:
                        "false\n"),
         "eval parse error": (["eval", "--model", M, "--formula", BROKEN], EXIT_USAGE, None),
         "eval missing file": (["eval", "--model", X, "--formula", TRUE], EXIT_USAGE, None),
+        "eval directory": (["eval", "--model", D, "--formula", TRUE], EXIT_USAGE, None),
         "eval budget": (["eval", "--budget", "1", "--model", M, "--formula", EXAMPLE3_TEXT],
                         EXIT_BUDGET, None),
         "normalize": (["normalize", "--vocab", V, "--formula", EXAMPLE3_TEXT], EXIT_OK, None),
@@ -95,6 +100,8 @@ class TestExitCodes:
                                   None),
         "normalize missing file": (["normalize", "--vocab", X, "--formula", EXAMPLE3_TEXT],
                                    EXIT_USAGE, None),
+        "normalize directory": (["normalize", "--vocab", D, "--formula", EXAMPLE3_TEXT],
+                                EXIT_USAGE, None),
         "equiv equivalent": (["equiv", "--vocab", V, "--f1", "x = c", "--f2", "c = x"], EXIT_OK,
                              "equivalent\n"),
         "equiv counterexample": (["equiv", "--vocab", V, "--f1", "dep(x)", "--f2", "dep()"],
@@ -103,6 +110,8 @@ class TestExitCodes:
                               EXIT_USAGE, None),
         "equiv missing file": (["equiv", "--vocab", X, "--f1", "x = c", "--f2", "c = x"],
                                EXIT_USAGE, None),
+        "equiv directory": (["equiv", "--vocab", D, "--f1", "x = c", "--f2", "c = x"],
+                            EXIT_USAGE, None),
         "equiv max size 0": (["equiv", "--f1", "dep(x)", "--f2", "x = x", "--max-size", "0"],
                              EXIT_USAGE, None),
         "equiv max size -3": (["equiv", "--f1", "dep(x)", "--f2", "x = x", "--max-size", "-3"],
@@ -113,6 +122,8 @@ class TestExitCodes:
                               EXIT_USAGE, None),
         "chain missing file": (["chain", "--model", X, "--formula", EXAMPLE3_TEXT, "--up-to", "2"],
                                EXIT_USAGE, None),
+        "chain directory": (["chain", "--model", D, "--formula", EXAMPLE3_TEXT, "--up-to", "2"],
+                            EXIT_USAGE, None),
     }
     # Flags that the command has no use for: argparse rejects them and prints
     # its usage line, so only the exit code is checked.
@@ -125,7 +136,7 @@ class TestExitCodes:
         (tmp_path / "m.txt").write_text("domain 3\nconstant c = 0\n")
         (tmp_path / "v.txt").write_text("constant c\n")
         files = {"model": tmp_path / "m.txt", "vocab": tmp_path / "v.txt",
-                 "missing": tmp_path / "missing.txt"}
+                 "missing": tmp_path / "missing.txt", "directory": tmp_path}
         return main([arg.format(**files) for arg in argv])
 
     @pytest.mark.parametrize("case", sorted(CASES))

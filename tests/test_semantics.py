@@ -25,12 +25,9 @@ from deplogic import (
     Vocabulary,
     build_approximation,
     equiv_on_small_models,
-    eval_term,
-    fo_satisfies,
     free_vars,
     infer_vocabulary,
     is_first_order,
-    make_team,
     parse_formula,
     satisfies,
     sentence_true,
@@ -38,20 +35,16 @@ from deplogic import (
 )
 from deplogic.normalform import reassemble
 from deplogic.semantics import (
-    EMPTY_DOMAIN_SINGLETON,
-    Assignment,
     Counterexample,
     FreeVariableError,
-    NotFirstOrderError,
     SemanticsError,
     SentenceError,
-    UnboundVariableError,
     enumerate_models,
-    enumerate_teams,
 )
 
 from helpers import (
     CORPUS,
+    EMPTY_DOMAIN_SINGLETON,
     EXAMPLE3_TEXT,
     SMALL_BUDGET,
     THETA1_TEXT,
@@ -60,6 +53,8 @@ from helpers import (
     VOC_F1C,
     VOC_R1C,
     VOC_R1S1C,
+    enumerate_teams,
+    make_team,
     random_fo_formula,
     random_formula,
     random_model,
@@ -75,66 +70,65 @@ VOC_PR = Vocabulary(relations={"P": 1, "R": 2})
 MODEL_PR = Model(3, relations={"P": {(0,)}, "R": {(0, 1), (0, 2), (1, 2), (2, 0)}})
 
 
-def asg(**kwargs):
-    return Assignment(tuple(kwargs.items()))
+def holds_at(m, phi, **env):
+    """First-order truth at one assignment: `satisfies` on its one-row team."""
+    return satisfies(m, make_team(env, [env]), phi)
 
 
 class TestEvalTerm:
+    """Terms are read by table lookup, seen through equality atoms."""
+
     MODEL = Model(2, functions={"f": {(0,): 1, (1,): 0}}, constants={"c": 0})
 
     def test_table_lookup_composition(self):
-        assert eval_term(self.MODEL, Assignment(), Apply("f", (Const("c"),))) == 1
+        assert holds_at(self.MODEL, Eq(Apply("f", (Const("c"),)), x), x=1)
+        assert not holds_at(self.MODEL, Eq(Apply("f", (Const("c"),)), x), x=0)
 
     def test_variable(self):
-        assert eval_term(self.MODEL, asg(x=2), x) == 2
-
-    def test_unbound_variable(self):
-        with pytest.raises(UnboundVariableError):
-            eval_term(self.MODEL, asg(x=2), y)
+        # Each variable reads its own slot of the row.
+        assert holds_at(self.MODEL, Eq(x, Const("c")), x=0, y=1)
+        assert not holds_at(self.MODEL, Eq(y, Const("c")), x=0, y=1)
 
 
 class TestFoSatisfies:
+    """First-order truth at one assignment, through `satisfies` on one-row
+    teams and `sentence_true`."""
+
     MODEL = Model(2)
 
     def test_reflexivity(self):
-        assert fo_satisfies(self.MODEL, asg(x=0), Eq(x, x))
+        assert holds_at(self.MODEL, Eq(x, x), x=0)
 
     def test_negated_equality(self):
-        assert fo_satisfies(self.MODEL, asg(x=0, y=1), Not(Eq(x, y)))
-
-    def test_rejects_dependence_atom(self):
-        with pytest.raises(NotFirstOrderError):
-            fo_satisfies(self.MODEL, asg(x=0), Dep((x,)))
+        assert holds_at(self.MODEL, Not(Eq(x, y)), x=0, y=1)
 
     def test_quantifiers(self):
-        assert fo_satisfies(self.MODEL, Assignment(), Forall("x", Exists("y", Eq(x, y))))
-
-    def test_rejects_dependence_atom_under_quantifier(self):
-        with pytest.raises(NotFirstOrderError):
-            fo_satisfies(self.MODEL, asg(x=0), Exists("y", And(Eq(x, y), Dep((x, y)))))
+        assert sentence_true(self.MODEL, Forall("x", Exists("y", Eq(x, y))))
+        assert holds_at(self.MODEL, Forall("x", Exists("y", Eq(x, y))))
 
     def test_rebinding_shadows_the_outer_variable(self):
         # forall x. exists x. x = y: the inner x is free to equal y.
         phi = Forall("x", Exists("x", Eq(x, y)))
-        assert fo_satisfies(self.MODEL, asg(y=1), phi)
+        assert holds_at(self.MODEL, phi, y=1)
         # exists x. (x = y & forall x. x = y) fails on two elements.
-        assert not fo_satisfies(self.MODEL, asg(y=1), Exists("x", And(Eq(x, y), Forall("x", Eq(x, y)))))
+        assert not holds_at(self.MODEL, Exists("x", And(Eq(x, y), Forall("x", Eq(x, y)))), y=1)
 
     def test_missing_symbols_raise_only_when_reached(self):
         m = Model(2, relations={"P": frozenset({(0,)})})
         phi = Or(Rel("P", (x,)), Rel("Q", (Const("c"),)))
-        assert fo_satisfies(m, asg(x=0), phi)
+        assert holds_at(m, phi, x=0)
         with pytest.raises(SemanticsError, match="^constant c not interpreted$"):
-            fo_satisfies(m, asg(x=1), phi)
+            holds_at(m, phi, x=1)
         applied = Eq(Apply("f", (x,)), x)
-        assert fo_satisfies(m, asg(x=1), Or(Eq(x, x), applied))
+        assert holds_at(m, Or(Eq(x, x), applied), x=1)
         with pytest.raises(SemanticsError, match="^function f not interpreted$"):
-            fo_satisfies(m, asg(x=1), Or(Not(Eq(x, x)), applied))
+            holds_at(m, Or(Not(Eq(x, x)), applied), x=1)
 
 
 class TestCompiledAgainstTarski:
-    """`fo_satisfies` and first-order `sentence_true` against the plain
-    recursive evaluator of the test helpers, on every model of size <= 2."""
+    """`satisfies` on one-row teams and first-order `sentence_true` against
+    the plain recursive evaluator of the test helpers, on every model of
+    size <= 2."""
 
     @pytest.mark.parametrize("voc", [VOC_R1S1C, VOC_F1], ids=["R1S1C", "F1"])
     def test_random_formulas_agree(self, voc):
@@ -148,7 +142,7 @@ class TestCompiledAgainstTarski:
             for m in models:
                 for a, b in itertools.product(range(m.size), repeat=2):
                     env = {"x": a, "y": b}
-                    assert fo_satisfies(m, asg(**env), phi) == tarski(m, env, phi), (phi, m, env)
+                    assert holds_at(m, phi, **env) == tarski(m, env, phi), (phi, m, env)
                 assert sentence_true(m, closed) == tarski(m, {}, closed), (closed, m)
         assert shapes == {"rebinds", "quantifier under ~", "quantifier under |"}
 
@@ -210,7 +204,7 @@ class TestSatisfies:
         phi = parse_formula("x = c | ~(x = c)", VOC_C)
         team = make_team(["x"], [{"x": 0}, {"x": 1}])
         assert satisfies(self.MODEL, team, phi) == all(
-            fo_satisfies(self.MODEL, s, phi) for s in team.rows
+            tarski(self.MODEL, s.as_dict(), phi) for s in team.rows
         )
 
     def test_free_variable_violation(self):

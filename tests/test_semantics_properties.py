@@ -18,11 +18,8 @@ from deplogic import (
     Team,
     Var,
     build_approximation,
-    eval_term,
-    fo_satisfies,
     free_vars,
     is_first_order,
-    make_team,
     satisfies,
     sentence_true,
     substitute,
@@ -32,11 +29,14 @@ from deplogic.normalform import reassemble
 from helpers import (
     SMALL_BUDGET,
     VOC_R1C,
+    make_team,
     random_formula,
     random_fo_formula,
     random_model,
     random_normal_form,
     random_team,
+    tarski,
+    term_value,
 )
 
 TEAM_VARS = ["x", "y"]
@@ -92,7 +92,7 @@ def test_locality(instance):
 def test_flatness(instance):
     model, team, phi, rng = instance
     assert is_first_order(phi)
-    flat = all(fo_satisfies(model, s, phi) for s in team.rows)
+    flat = all(tarski(model, s.as_dict(), phi) for s in team.rows)
     assert _sat(model, team, phi) == flat
 
 
@@ -114,7 +114,7 @@ def test_substitution_lemma(instance):
         return
     supplemented = make_team(
         team.variables | {variable},
-        [{**s.as_dict(), variable: eval_term(model, s, term)} for s in team.rows],
+        [{**s.as_dict(), variable: term_value(model, s.as_dict(), term)} for s in team.rows],
     )
     try:
         assert _sat(model, team, substituted) == _sat(model, supplemented, phi)

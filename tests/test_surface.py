@@ -28,10 +28,10 @@ from deplogic import (
     parse_vocabulary,
     print_formula,
 )
-from deplogic.semantics import Assignment, Model, enumerate_models, enumerate_teams
+from deplogic.semantics import Assignment, Model, enumerate_models
 from deplogic.surface import format_model, format_team
 
-from helpers import VOC_C, VOC_R1C, random_formula
+from helpers import VOC_C, VOC_R1C, enumerate_teams, random_formula
 
 x, y, z = Var("x"), Var("y"), Var("z")
 EMPTY = Vocabulary()
@@ -211,13 +211,13 @@ class TestErrorCorpus:
         ("model", "domain 2\nrelation R/x", "2:11-12: expected an arity, found 'x'"),
         ("model", "domain 2\nfunction f/0 = []", "2:11-12: function arity must be positive"),
         ("model", "domain 2\nrelation R/1 = (0)", "2:15-16: expected '{', found '('"),
-        ("model", "domain 2\nrelation R/2 = {(0)}", "2:16-17: tuple has 1 entries, expected 2"),
-        ("model", "domain 2\nrelation R/2 = {0}", "2:16-17: tuple has 1 entries, expected 2"),
+        ("model", "domain 2\nrelation R/2 = {(0)}", "2:16-17: tuple has 1 entry, expected 2"),
+        ("model", "domain 2\nrelation R/2 = {0}", "2:16-17: tuple has 1 entry, expected 2"),
         ("model", "domain 2\nrelation R/1 = {(0) (1)}", "2:20-21: expected ',' or '}', found '('"),
         ("model", "domain 2\nrelation R/1 = {(0)", "2:19-20: expected ',' or '}', found end of line"),
         ("model", "domain 2\nfunction f/1 = [0->1, 0->0]", "2:22-23: function f defines (0,) twice"),
         ("model", "domain 2\nfunction f/1 = [0->1]",
-         "2:15-16: partial table for function f: 1 entries missing"),
+         "2:15-16: partial table for function f: 1 entry missing"),
         ("model", "domain 2\nfunction f/1 = [0 1]", "2:18-19: expected '->', found '1'"),
         ("model", "domain 2\nfunction f/1 = 0->1", "2:15-16: expected '[', found '0'"),
         ("model", "domain 2\nconstant c = 0\nconstant c = 1", "3:9-10: duplicate symbol c"),
@@ -229,6 +229,7 @@ class TestErrorCorpus:
         ("team", "vars x x", "1:7-8: a variable is named twice"),
         ("team", "vars c", "1:5-6: variable c collides with a model symbol"),
         ("team", "vars x\n0 1", "2:0-1: row has 2 values, expected 1"),
+        ("team", "vars x y\n0", "2:0-1: row has 1 value, expected 2"),
         ("team", "vars x\n2", "2:0-1: value 2 out of domain 0..1"),
         ("team", "vars\n(", "2:1-2: expected ')', found end of line"),
         ("team", "vars\n() 0", "2:3-4: expected end of line, found '0'"),

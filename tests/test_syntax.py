@@ -20,7 +20,6 @@ from deplogic import (
     Vocabulary,
     VocabularyError,
     NegationScopeError,
-    alpha_equal,
     free_vars,
     fresh_variable,
     infer_vocabulary,
@@ -38,7 +37,7 @@ from deplogic.syntax import (
     term_vars,
 )
 
-from helpers import VOC_R1C, random_formula
+from helpers import VOC_R1C, alpha_equal, random_formula
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
