@@ -16,7 +16,8 @@ dep_intro, dep_elim and dep_distribute accept their built conclusion up to
 the names of bound variables and the bracketing of &, and dep_intro also up
 to the order of the dependence atom's context.  The other rules compare
 formulas exactly.  An assumption left open must match a hypothesis up to
-the names of bound variables only.
+the names of bound variables and the bracketing of &; the bracketing of |
+stays significant, since disj_assoc is its own rule.
 
 The table `_RULES` at the end of the module is the one place that defines
 a rule: how many premises it cites, how many assumptions it discharges,
@@ -50,7 +51,6 @@ from .syntax import (
     conjuncts,
     free_vars,
     is_first_order,
-    nest_right,
     operands,
     quantify,
     strip_prefix,
@@ -155,7 +155,7 @@ def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
     bound variables and the bracketing of & (dep_intro also up to the order
     of the atom's context); the other rules compare exactly.  An open
     assumption must match one of allowed_open up to the names of bound
-    variables only.
+    variables and the bracketing of &.
     """
     position = proof._position
     deps: dict[int, frozenset[int]] = {}  # step index -> open assumptions used
@@ -449,11 +449,8 @@ def _check_unnest(c, ps, ds, ctx):
 
 def _same(a: Formula, b: Formula) -> bool:
     """Equal up to the names of bound variables and the bracketing of &,
-    neither of which changes a formula's meaning.  Most conclusions are
-    written as built, so the exact keys are compared first."""
-    if alpha_key(a) == alpha_key(b):
-        return True
-    return alpha_key(nest_right(a)) == alpha_key(nest_right(b))
+    neither of which changes a formula's meaning."""
+    return alpha_key(a) == alpha_key(b)
 
 
 def _parse_dep_block(phi: Formula) -> tuple[Prefix, list[Formula], Formula]:

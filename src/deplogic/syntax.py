@@ -3,14 +3,13 @@
 Formulas extend first-order syntax (relations, equality, ~, &, |, exists,
 forall) with dependence atoms dep(t1, ..., tn).  Negation may only wrap a
 first-order subformula; this is enforced at construction time.  All nodes
-are immutable values.
+are immutable values, and no fact derived from one is cached.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -307,23 +306,39 @@ def _head(phi: Formula) -> tuple[object, ...]:
     return (type(phi), phi.name if isinstance(phi, Rel) else None, len(atom_terms(phi)))
 
 
-@lru_cache(maxsize=65536)
 def is_first_order(phi: Formula) -> bool:
-    """True iff no dependence atom occurs anywhere in the formula."""
-    return not isinstance(phi, Dep) and all(map(is_first_order, subformulas(phi)))
+    """True iff no dependence atom occurs anywhere in the formula.  A
+    negation is first-order by construction, so the walk does not enter it."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Dep):
+            return False
+        if not isinstance(f, Not):
+            stack.extend(subformulas(f))
+    return True
 
 
 def is_quantifier_free(phi: Formula) -> bool:
     return not any(isinstance(f, _QUANT) for f, _ in walk(phi))
 
 
-@lru_cache(maxsize=65536)
 def free_vars(phi: Formula) -> frozenset[str]:
     """Free variables; dependence atoms contribute all their term variables."""
-    out = frozenset().union(
-        *map(term_vars, atom_terms(phi)), *map(free_vars, subformulas(phi))
-    )
-    return out - {phi.var} if isinstance(phi, _QUANT) else out
+    out: set[str] = set()
+    stack: list[tuple[Formula, tuple[str, ...]]] = [(phi, ())]
+    while stack:
+        f, bound = stack.pop()
+        if isinstance(f, _QUANT):
+            stack.append((f.body, bound + (f.var,)))
+            continue
+        for p in subformulas(f):
+            stack.append((p, bound))
+        for t in atom_terms(f):
+            for u in walk_term(t):
+                if isinstance(u, Var) and u.name not in bound:
+                    out.add(u.name)
+    return frozenset(out)
 
 
 def is_sentence(phi: Formula) -> bool:
@@ -390,12 +405,22 @@ def fresh_variable(avoid: Iterable[str], hint: str) -> str:
 
 def alpha_key(phi: Formula) -> tuple[object, ...]:
     """A hashable key, equal for two formulas exactly when they are equal up
-    to consistent renaming of bound variables: the nodes in pre-order, where
-    a bound variable is the depth of its binder (an int) and a free
-    variable its name (a str)."""
+    to the names of bound variables and the bracketing of &: the nodes in
+    pre-order, a chain of & as one node with its length, a bound variable as
+    the depth of its binder (an int) and a free variable as its name (a str)."""
     key: list[object] = []
-    for f, binders in walk(phi):
+    stack: list[tuple[Formula, tuple[str, ...]]] = [(phi, ())]
+    while stack:
+        f, binders = stack.pop()
         key += _head(f)
+        parts: Sequence[Formula] = subformulas(f)
+        if isinstance(f, And):
+            parts = operands(f)
+            key.append(len(parts))
+        elif isinstance(f, _QUANT):
+            binders = binders + (f.var,)
+        for p in reversed(parts):
+            stack.append((p, binders))
         terms = atom_terms(f)
         if not terms:
             continue
@@ -440,26 +465,10 @@ def conjoin(parts: Iterable[Formula]) -> Formula:
 
 
 def conjuncts(phi: Formula) -> list[Formula]:
-    """The conjuncts of a conjunction of any bracketing, left to right.
-
-    The right spine is always split.  A left operand is split too when it
-    contains a dependence atom, so (dep & a) & b and dep & (a & b) give the
-    same list [dep, a, b].  A first-order left operand stays whole:
-    (a & b) & dep gives [a & b, dep].
-    """
-    out: list[Formula] = []
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        while isinstance(f, And):
-            if isinstance(f.left, And) and not is_first_order(f.left):
-                stack.append(f.right)
-                f = f.left
-            else:
-                out.append(f.left)
-                f = f.right
-        out.append(f)
-    return out
+    """The conjuncts of a conjunction of any bracketing, left to right:
+    (a & b) & dep and a & (b & dep) both give [a, b, dep].  Any other
+    formula is its own one conjunct."""
+    return operands(phi) if isinstance(phi, And) else [phi]
 
 
 def operands(phi: Formula) -> list[Formula]:
@@ -473,15 +482,6 @@ def operands(phi: Formula) -> list[Formula]:
         else:
             out.append(f)
     return out
-
-
-def nest_right(phi: Formula) -> Formula:
-    """The formula with every chain of & re-nested to the right, however it
-    was bracketed.  & is associative under team semantics, so the result is
-    equivalent to the input."""
-    if not isinstance(phi, And):
-        return rebuild(phi, [nest_right(p) for p in subformulas(phi)])
-    return conjoin([nest_right(f) for f in operands(phi)])
 
 
 def infer_vocabulary(phi: Formula) -> Vocabulary:

@@ -68,7 +68,8 @@ def enumerate_teams(size: int, variables: frozenset[str]) -> Iterator[Team]:
 
 
 def alpha_equal(phi: Formula, psi: Formula) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
+    """Structural equality up to consistent renaming of bound variables and
+    the bracketing of &."""
     return alpha_key(phi) == alpha_key(psi)
 
 

@@ -106,9 +106,10 @@ class TestBuildOmega:
         block1 = outer.right
         while hasattr(block1, "body"):
             block1 = block1.body
-        # innermost conjunction: matrix first, then the renamed dep atom
+        # innermost conjunction: the matrix's conjuncts first, then the
+        # renamed dep atom
         parts = conjuncts(block1)
-        assert parts[1] == Dep((Var("y_1"), Var("z_1")))
+        assert parts[len(conjuncts(nf.matrix))] == Dep((Var("y_1"), Var("z_1")))
 
     def test_omega_implies_phi_on_small_models(self):
         nf = example3_nf()

@@ -35,9 +35,21 @@ class TestRecursionLimit:
         assert main(["parse", "--ascii", "--formula", " | ".join(["x = x"] * 5000)]) == EXIT_OK
         assert capsys.readouterr().out == "(" * 4999 + "x = x" + " | x = x)" * 4999 + "\n"
 
-    def test_deeply_nested_negation_exits_2(self, capsys):
-        assert main(["parse", "--formula", "~" * 3000 + "x = x"]) == EXIT_USAGE
-        assert_one_line_error(capsys)
+    def test_deeply_nested_negation_prints(self, capsys):
+        assert main(["parse", "--formula", "~" * 3000 + "x = x"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        voc = parse_vocabulary("")
+        assert print_formula(parse_formula(out, voc), unicode_symbols=True) == out.rstrip("\n")
+
+    def test_long_approximation_chain_prints(self, tmp_path, capsys):
+        # Phi^17 and beyond: the chain runs past the interpreter's recursion
+        # limit in the nesting of the approximations.
+        model = tmp_path / "m1.txt"
+        model.write_text("domain 1\nconstant c = 0\n")
+        argv = ["chain", "--model", str(model), "--formula", EXAMPLE3_TEXT, "--up-to", "40"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.split() == ["false"] * 40
 
 
 class TestCheckProof:

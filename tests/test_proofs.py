@@ -64,6 +64,19 @@ class TestOpenAssumptions:
         proof = Proof((ProofStep(1, parse_formula(text, VOC_R2PQ), "assume"),))
         assert check_proof(proof, [hypothesis]).accepted == accepted
 
+    @pytest.mark.parametrize(
+        "hypothesis, text, accepted",
+        [
+            ("(P(c) & Q(c)) & R(c)", "1. P(c) & (Q(c) & R(c)) assume\n2. P(c) and_e_l 1\n", True),
+            ("(P(c) | Q(c)) | R(c)", "1. P(c) | (Q(c) | R(c)) assume\n", False),
+        ],
+    )
+    def test_open_assumption_may_rebracket_and_only(self, hypothesis, text, accepted):
+        # & is associative in team semantics; | has its own rule, disj_assoc.
+        voc = Vocabulary(relations={"P": 1, "Q": 1, "R": 1}, constants={"c"})
+        report = check_proof(parse_proof(text, voc), [parse_formula(hypothesis, voc)])
+        assert report.accepted == accepted
+
     def test_repeated_discharge_in_one_step(self):
         text = (
             "1. P(x) assume\n"

@@ -1,6 +1,7 @@
 """Tests for team-semantics evaluation: examples from the operation
 contracts, frozen by hand enumeration where derived."""
 
+import functools
 import itertools
 import random
 
@@ -243,6 +244,20 @@ class TestSentenceTrue:
     def test_example3_false_on_size_two(self):
         phi = parse_formula(EXAMPLE3_TEXT, VOC_C)
         assert not sentence_true(Model(2, constants={"c": 0}), phi)
+
+    @pytest.mark.parametrize("kind, filler", [(And, Eq(x, x)), (Or, Not(Eq(x, x)))])
+    @pytest.mark.parametrize("to_left", [True, False])
+    def test_chain_5000_operands_deep(self, kind, filler, to_left):
+        # Past the recursion limit; the filler is neutral, so the last
+        # operand decides the chain.
+        m = Model(2)
+        for last, expected in [(Eq(x, x), True), (Not(Eq(x, x)), False)]:
+            parts = [filler] * 4999 + [last]
+            if to_left:
+                chain = functools.reduce(kind, parts)
+            else:
+                chain = functools.reduce(lambda acc, p: kind(p, acc), reversed(parts))
+            assert sentence_true(m, Forall("x", chain)) is expected
 
 
 class TestBudget:

@@ -277,6 +277,10 @@ class TestDepth:
         assert phi.right == Eq(x, y)
         assert self.spine(phi, kind, lambda f: f.left) == (self.N - 1, Eq(x, x))
 
+    def test_nested_negation(self):
+        phi = parse_formula("~" * self.N + "x = x", EMPTY)
+        assert self.spine(phi, Not, lambda f: f.body) == (self.N, Eq(x, x))
+
     def test_nested_quantifiers(self):
         text = "".join(f"{'forall' if i % 2 else 'exists'} v{i}. " for i in range(self.N))
         phi = parse_formula(text + "x = x", EMPTY)

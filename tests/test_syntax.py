@@ -1,5 +1,6 @@
 """Tests for terms, formulas, and structural utilities."""
 
+import functools
 import random
 
 import pytest
@@ -33,7 +34,6 @@ from deplogic.syntax import (
     conjoin,
     conjuncts,
     is_quantifier_free,
-    nest_right,
     term_vars,
 )
 
@@ -52,6 +52,10 @@ class TestFreeVars:
 
     def test_existential_leaves_other_variables_free(self):
         assert free_vars(Exists("y", Eq(x, y))) == {"x"}
+
+    def test_bound_in_one_operand_free_in_another(self):
+        assert free_vars(And(Rel("R", (x,)), Exists("x", Rel("R", (x,))))) == {"x"}
+        assert free_vars(Or(Forall("x", Eq(x, y)), Not(Eq(z, x)))) == {"x", "y", "z"}
 
     def test_sentence_iff_no_free_vars(self):
         assert is_sentence(Forall("x", Rel("R", (x,))))
@@ -153,6 +157,14 @@ class TestAlphaEqual:
         b = Forall("u", Forall("v", Rel("R", (Var("v"),))))
         assert alpha_equal(a, b)
 
+    def test_bracketing_of_and_is_ignored_and_of_or_is_not(self):
+        a, b, c = Rel("R", (x,)), Eq(x, y), Dep((x, y))
+        renamed = And(Rel("R", (z,)), And(Eq(z, y), Dep((z, y))))
+        assert alpha_equal(Exists("x", And(And(a, b), c)), Exists("z", renamed))
+        assert not alpha_equal(Or(Or(a, b), c), Or(a, Or(b, c)))
+        assert canonical(And(And(a, b), c)) == canonical(And(a, And(b, c)))
+        assert canonical(Or(Or(a, b), c)) != canonical(Or(a, Or(b, c)))
+
     def test_bound_and_free_occurrences_differ(self):
         assert not alpha_equal(Exists("u", Eq(Var("u"), x)), Exists("x", Eq(x, x)))
 
@@ -177,8 +189,9 @@ class TestAlphaEqual:
 
 
 def canonical(phi, env=None, depth=0):
-    """phi with every bound variable renamed to `#<depth of its binder>`: a
-    reference for alpha-equality that shares no code with alpha_key."""
+    """phi with every bound variable renamed to `#<depth of its binder>` and
+    every chain of & nested to the right: a reference for alpha-equality
+    that shares no code with alpha_key."""
     env = env or {}
 
     def term(t):
@@ -196,8 +209,20 @@ def canonical(phi, env=None, depth=0):
         return Dep(tuple(map(term, phi.args)))
     if isinstance(phi, Not):
         return Not(canonical(phi.body, env, depth))
-    if isinstance(phi, (And, Or)):
-        return type(phi)(canonical(phi.left, env, depth), canonical(phi.right, env, depth))
+    if isinstance(phi, And):
+        parts, todo = [], [phi]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, And):
+                todo += [f.right, f.left]
+            else:
+                parts.append(canonical(f, env, depth))
+        out = parts.pop()
+        while parts:
+            out = And(parts.pop(), out)
+        return out
+    if isinstance(phi, Or):
+        return Or(canonical(phi.left, env, depth), canonical(phi.right, env, depth))
     name = f"#{depth}"
     return type(phi)(name, canonical(phi.body, {**env, phi.var: name}, depth + 1))
 
@@ -252,10 +277,15 @@ class TestConjuncts:
         assert conjuncts(And(And(dep, a), b)) == [dep, a, b]
         assert conjuncts(And(And(And(dep, a), dep), b)) == [dep, a, dep, b]
 
-    def test_first_order_left_operand_stays_whole(self):
-        left = And(Eq(x, z), Eq(y, z))
-        assert conjuncts(And(left, Dep((x, y)))) == [left, Dep((x, y))]
-        assert conjuncts(And(left, Eq(x, y))) == [left, Eq(x, y)]
+    def test_first_order_left_operand_is_split(self):
+        a, b = Eq(x, z), Eq(y, z)
+        assert conjuncts(And(And(a, b), Dep((x, y)))) == [a, b, Dep((x, y))]
+        assert conjuncts(And(And(a, b), Eq(x, y))) == [a, b, Eq(x, y)]
+
+    def test_other_formulas_are_one_conjunct(self):
+        a, b = Eq(x, z), Eq(y, z)
+        assert conjuncts(Or(And(a, b), a)) == [Or(And(a, b), a)]
+        assert conjuncts(Exists("x", And(a, b))) == [Exists("x", And(a, b))]
 
     def test_both_spellings_give_one_list(self):
         dep, a, b, c = Dep((x, y)), Eq(x, y), Rel("R", (x,)), Eq(y, z)
@@ -263,16 +293,44 @@ class TestConjuncts:
             conjoin([dep, a, b, c])
         )
 
-    def test_nest_right_reaches_every_chain(self):
+    def test_alpha_key_reads_every_bracketing(self):
         a, b, c = Eq(x, y), Rel("R", (x,)), Eq(y, z)
         left = Exists("x", Or(And(And(a, b), c), And(And(b, c), a)))
         right = Exists("x", Or(conjoin([a, b, c]), conjoin([b, c, a])))
-        assert nest_right(left) == right
-        assert nest_right(right) == right
+        assert left != right
+        assert alpha_key(left) == alpha_key(right)
+        # the order of conjuncts and the length of a chain still count
+        assert alpha_key(left) != alpha_key(Exists("x", Or(conjoin([a, c, b]), conjoin([b, c, a]))))
+        assert alpha_key(And(And(a, b), c)) != alpha_key(And(a, b))
 
 
 class TestDeepFormulas:
-    """Walkers that return on a conjunction 5000 deep, past the recursion limit."""
+    """Walkers that return on chains and negations 5000 deep, past the
+    recursion limit.  Results are compared by walking them or through
+    alpha_key, since `==` on nested dataclasses recurses."""
+
+    N = 5000
+
+    @pytest.mark.parametrize("kind", [And, Or])
+    @pytest.mark.parametrize("to_left", [True, False])
+    def test_chain_facts(self, kind, to_left):
+        parts = [Eq(x, y)] * (self.N - 1) + [Rel("R", (x,))]
+        if to_left:
+            chain = functools.reduce(kind, parts)
+        else:
+            chain = functools.reduce(lambda acc, p: kind(p, acc), reversed(parts))
+        assert free_vars(Forall("x", chain)) == {"y"}
+        assert is_first_order(Forall("x", chain))
+        assert not is_first_order(Forall("x", kind(chain, Dep((x,)))))
+
+    def test_nested_negation_facts(self):
+        phi, renamed = Eq(x, y), Eq(z, y)
+        for _ in range(self.N):
+            phi, renamed = Not(phi), Not(renamed)
+        assert free_vars(Forall("x", phi)) == {"y"}
+        assert is_first_order(phi)
+        assert alpha_key(Forall("x", phi)) == alpha_key(Forall("z", renamed))
+        assert alpha_key(Forall("x", phi)) != alpha_key(Forall("x", Not(phi)))
 
     def test_walkers_return(self):
         matrix = conjoin([Eq(x, y)] * 5000)
