@@ -24,7 +24,7 @@ from .syntax import (
     rename_free,
 )
 from .normalform import DepAtomSpec, NormalFormSentence, reassemble
-from .semantics import Model, SearchBudget, sentence_true
+from .semantics import Model, sentence_true
 
 
 GuardSet = tuple[DepAtomSpec, ...]
@@ -104,15 +104,11 @@ def build_omega(nf: NormalFormSentence, n: int) -> Formula:
 
 
 def approximation_chain_check(
-    nf: NormalFormSentence,
-    m: Model,
-    up_to: int,
-    budget: Optional[SearchBudget] = None,
+    nf: NormalFormSentence, m: Model, up_to: int
 ) -> list[bool]:
-    """Truth values of the first up_to approximations on a finite model."""
+    """Truth values of the first up_to approximations on a finite model.
+    Each approximation is first-order, so each is evaluated without a
+    search."""
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
-    return [
-        sentence_true(m, build_approximation(nf, i), budget)
-        for i in range(1, up_to + 1)
-    ]
+    return [sentence_true(m, build_approximation(nf, i)) for i in range(1, up_to + 1)]

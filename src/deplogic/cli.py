@@ -5,8 +5,8 @@ Exit codes: 0 success/true/accepted, 1 false/rejected/counterexample,
 formulas nested too deeply to read, evaluate or print within Python's
 recursion limit, 3 budget exceeded.
 
-Only the commands that search take --budget (eval, equiv, chain), and only
-the commands that print a formula take --ascii (parse, normalize, approx).
+Only the commands that search take --budget (eval, equiv), and only the
+commands that print a formula take --ascii (parse, normalize, approx).
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     voc, model = parse_model(_read(args.model))
     phi = parse_formula(args.formula, voc)
     nf = to_normal_form(phi)
-    values = approximation_chain_check(nf, model, args.up_to, _budget(args))
+    values = approximation_chain_check(nf, model, args.up_to)
     print(" ".join("true" if v else "false" for v in values))
     return EXIT_OK
 
@@ -208,7 +208,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_equiv)
 
     p = sub.add_parser("chain", help="truth values of approximations 1..n")
-    common(p, vocab=False, searches=True)
+    common(p, vocab=False)
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--up-to", type=int, required=True)
     p.set_defaults(run=cmd_chain)
@@ -227,10 +227,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError:
         print("error: search budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
-    except ParseError as e:
-        print(f"error: {e.diagnostic}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CliError, NormalFormError, SemanticsError, VocabularyError, ValueError) as e:
+    except (
+        CliError, NormalFormError, ParseError, SemanticsError, VocabularyError, ValueError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

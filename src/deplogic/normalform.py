@@ -7,12 +7,11 @@ into forall*-exists* shape, trading each crossed universal for a dependence
 atom that pins the moved witness to the variables already in scope.
 
 Each stage is public: preprocess, to_prenex, hoist_dep_atoms and
-pull_existentials_left.  to_normal_form runs the same stages, except that
-it first reads off a sentence already of the normal shape, and it picks
-hoisting names that avoid every variable of the sentence rather than only
-those of the matrix.  A quantifier prefix is a syntax.Prefix, a list of
-(Forall | Exists, variable) pairs, outermost first; syntax.quantify builds
-a formula from one and syntax.strip_prefix takes it apart.
+pull_existentials_left.  to_normal_form composes them, after reading off a
+sentence already of the normal shape as it stands.  A quantifier prefix is
+a syntax.Prefix, a list of (Forall | Exists, variable) pairs, outermost
+first; syntax.quantify builds a formula from one and syntax.strip_prefix
+takes it apart.
 """
 
 from __future__ import annotations
@@ -168,12 +167,13 @@ def match_normal_form(phi: Formula) -> NormalFormSentence:
 def preprocess(phi: Formula) -> Formula:
     """Alpha-variant with pairwise-distinct binders, no variable both free
     and bound, and dependence atoms over variables only."""
-    used = set(free_vars(phi))
-    renamed = _rename_binders(phi, {}, used)
-    return _unnest_deps(renamed, used)
+    return _rename_binders(phi, {}, set(free_vars(phi)))
 
 
 def _rename_binders(phi: Formula, env: dict[str, str], used: set[str]) -> Formula:
+    """phi with each binder renamed to a name not in used, bound variables
+    renamed as env says, and each dependence atom unnested where it is
+    reached; every name picked is added to used."""
     if isinstance(phi, (Exists, Forall)):
         fresh = fresh_variable(used, phi.var)
         used.add(fresh)
@@ -183,14 +183,10 @@ def _rename_binders(phi: Formula, env: dict[str, str], used: set[str]) -> Formul
     def rename(t: Term) -> Term:
         return map_vars(t, lambda v: Var(env.get(v.name, v.name)))
 
-    parts = [_rename_binders(p, env, used) for p in subformulas(phi)]
-    return rebuild(map_terms(phi, rename), parts)
-
-
-def _unnest_deps(phi: Formula, used: set[str]) -> Formula:
-    if isinstance(phi, Dep):
-        return _unnest_atom(phi.args, used)
-    return rebuild(phi, [_unnest_deps(p, used) for p in subformulas(phi)])
+    renamed = map_terms(phi, rename)
+    if isinstance(renamed, Dep):
+        return _unnest_atom(renamed.args, used)
+    return rebuild(renamed, [_rename_binders(p, env, used) for p in subformulas(phi)])
 
 
 def _unnest_atom(args: tuple[Term, ...], used: set[str]) -> Formula:
@@ -236,11 +232,14 @@ def _prenex(phi: Formula) -> tuple[Prefix, Formula]:
 # Stage 2: hoisting dependence atoms
 
 def hoist_dep_atoms(theta: Formula) -> Formula:
-    """Equivalent form exists z... (deps & core) for a quantifier-free input."""
-    if not is_quantifier_free(theta):
-        raise ShapeError("hoisting expects a quantifier-free formula")
-    zs, atoms, core = _hoist(theta, set(all_vars(theta)))
-    return quantify(zs, conjoin(atoms + [core]))
+    """Equivalent form prefix exists z... (deps & core) for a prenex input
+    (a quantifier-free one has the empty prefix).  The prefix is kept, and
+    the hoisting names avoid every variable of the input."""
+    prefix, matrix = strip_prefix(theta)
+    if not is_quantifier_free(matrix):
+        raise ShapeError("hoisting expects a prenex formula")
+    zs, atoms, core = _hoist(matrix, set(all_vars(theta)))
+    return quantify(prefix + zs, conjoin(atoms + [core]))
 
 
 def _hoist(theta: Formula, used: set[str]) -> tuple[Prefix, list[Dep], Formula]:
@@ -314,9 +313,4 @@ def to_normal_form(phi: Formula) -> NormalFormSentence:
         return match_normal_form(clean)
     except ShapeError:
         pass
-    # Hoisting names must avoid every variable of the sentence, not only
-    # those of the matrix, so the stages are not composed through
-    # hoist_dep_atoms.
-    prefix, matrix = _prenex(clean)
-    zs, atoms, core = _hoist(matrix, set(all_vars(clean)))
-    return pull_existentials_left(quantify(prefix + zs, conjoin(atoms + [core])))
+    return pull_existentials_left(hoist_dep_atoms(to_prenex(clean)))

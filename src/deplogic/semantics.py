@@ -296,8 +296,12 @@ def _compile(m: Model, phi: Formula, slots: Mapping[str, int]) -> tuple[_Code, i
 
             return chain
         if isinstance(f, Not):
+            # A chain of ~ is one parity flip, so deep negation adds no closures.
+            negated = True
+            while isinstance(f.body, Not):
+                f, negated = f.body, not negated
             body = go(f.body, slots, depth)
-            return lambda env: not body(env)
+            return (lambda env: not body(env)) if negated else body
         if isinstance(f, (Exists, Forall)):
             i = base + depth
             width = max(width, i + 1)

@@ -153,7 +153,7 @@ class TestChainCheck:
         for _ in range(10):
             nf = random_normal_form(rng)
             m = random_model(rng, VOC_R1C, rng.randint(1, 3))
-            values = approximation_chain_check(nf, m, 3, SMALL_BUDGET)
+            values = approximation_chain_check(nf, m, 3)
             assert values == sorted(values, reverse=True)
 
     def test_true_sentence_keeps_all_approximations(self):
@@ -164,5 +164,5 @@ class TestChainCheck:
             m = random_model(rng, VOC_R1C, rng.randint(1, 3))
             if sentence_true(m, reassemble(nf), SMALL_BUDGET):
                 found += 1
-                assert approximation_chain_check(nf, m, 3, SMALL_BUDGET) == [True] * 3
+                assert approximation_chain_check(nf, m, 3) == [True] * 3
         assert found >= 10

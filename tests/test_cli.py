@@ -42,6 +42,13 @@ class TestRecursionLimit:
         voc = parse_vocabulary("")
         assert print_formula(parse_formula(out, voc), unicode_symbols=True) == out.rstrip("\n")
 
+    def test_deeply_nested_negation_evaluates(self, tmp_path, capsys):
+        model = tmp_path / "m2.txt"
+        model.write_text("domain 2\n")
+        argv = ["eval", "--model", str(model), "--formula", "forall x. " + "~" * 3000 + "x = x"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "true\n"
+
     def test_long_approximation_chain_prints(self, tmp_path, capsys):
         # Phi^17 and beyond: the chain runs past the interpreter's recursion
         # limit in the nesting of the approximations.
@@ -141,6 +148,8 @@ class TestExitCodes:
     # its usage line, so only the exit code is checked.
     UNUSED_FLAGS = {
         "parse budget": ["parse", "--budget", "5", "--ascii", "--formula", "x = x"],
+        "chain budget": ["chain", "--budget", "1", "--model", M, "--formula", EXAMPLE3_TEXT,
+                         "--up-to", "2"],
         "eval ascii": ["eval", "--ascii", "--model", M, "--formula", TRUE],
     }
 

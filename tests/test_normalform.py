@@ -2,6 +2,8 @@
 and prefix conversion, with the exhaustive small-model oracle as the
 semantic referee."""
 
+import random
+
 import pytest
 
 from deplogic import (
@@ -33,12 +35,21 @@ from deplogic.normalform import (
     to_normal_form,
     to_prenex,
 )
-from deplogic.syntax import bound_vars, is_quantifier_free, quantify, strip_prefix
+from deplogic.syntax import bound_vars, is_quantifier_free, quantify, strip_prefix, walk
 
-from helpers import CORPUS, EXAMPLE3_TEXT, THETA1_TEXT, VOC_C, VOC_EMPTY, VOC_R1
+from helpers import (
+    CORPUS,
+    EXAMPLE3_TEXT,
+    THETA1_TEXT,
+    VOC_C,
+    VOC_EMPTY,
+    VOC_R1,
+    random_formula,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 VOC_RS = Vocabulary(relations={"R": 1, "S": 1})
+VOC_RFC = Vocabulary(relations={"R": 1}, functions={"f": 1}, constants={"c"})
 
 
 def oracle_equiv(phi, psi, max_size=3):
@@ -73,6 +84,19 @@ class TestPreprocess:
         out = preprocess(phi)
         assert not (free_vars(out) & bound_vars(out))
         assert oracle_equiv(phi, out)
+
+    def test_unnesting_before_a_binder_named_z(self):
+        # The unnesting variable is picked where its atom is reached, so it
+        # takes the name z and the later binder z another one.
+        voc = Vocabulary(relations={"R": 1}, functions={"f": 1})
+        phi = parse_formula("forall x. (dep(f(x), x) & exists z. R(z))", voc)
+        out = preprocess(phi)
+        binders = [f.var for f, _ in walk(out) if isinstance(f, (Exists, Forall))]
+        assert binders == ["x", "z", "z_1"]
+        assert not (free_vars(out) & bound_vars(out))
+        deps = [f for f, _ in walk(out) if isinstance(f, Dep)]
+        assert deps and all(isinstance(t, Var) for d in deps for t in d.args)
+        assert oracle_equiv(phi, out, max_size=2)
 
 
 class TestToPrenex:
@@ -151,8 +175,14 @@ class TestHoistDepAtoms:
         assert oracle_equiv(theta, out)
 
     def test_rejects_quantified_input(self):
+        # A quantifier inside the matrix: the input is not prenex.
         with pytest.raises(ShapeError):
-            hoist_dep_atoms(Exists("x", Dep((x,))))
+            hoist_dep_atoms(And(Eq(x, x), Exists("y", Dep((y,)))))
+
+    def test_keeps_the_prefix_of_a_prenex_input(self):
+        x_1 = Var("x_1")
+        out = hoist_dep_atoms(Exists("x", Dep((x,))))
+        assert out == Exists("x", Exists("x_1", And(Dep((x_1,)), Eq(x_1, x))))
 
 
 class TestPullExistentialsLeft:
@@ -237,6 +267,27 @@ class TestToNormalForm:
         phi = parse_formula("forall y_1. forall x. exists y. (dep(x,y) | x = y)", VOC_EMPTY)
         nf = to_normal_form(phi)
         assert oracle_equiv(phi, reassemble(nf), max_size=2)
+        # hoist_dep_atoms sees the prefix of a prenex input, so the public
+        # stages pick the same name.
+        assert pull_existentials_left(hoist_dep_atoms(to_prenex(preprocess(phi)))) == nf
+
+    def test_one_path_through_the_stages(self):
+        # After the shape shortcut, to_normal_form is its public stages.
+        rng = random.Random(5)
+        randoms = [
+            random_formula(rng, VOC_RFC, ["x", "y", "z"], depth=4, rebind=i % 2 == 1)
+            for i in range(300)
+        ]
+        sentences = [parse_formula(text, voc) for _, text, voc in CORPUS] + [
+            quantify([(Forall, v) for v in sorted(free_vars(phi))], phi) for phi in randoms
+        ]
+        for phi in sentences:
+            clean = preprocess(phi)
+            try:
+                expected = match_normal_form(clean)
+            except ShapeError:
+                expected = pull_existentials_left(hoist_dep_atoms(to_prenex(clean)))
+            assert to_normal_form(phi) == expected, phi
 
 
 class TestPrefix:

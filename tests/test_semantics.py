@@ -259,6 +259,14 @@ class TestSentenceTrue:
                 chain = functools.reduce(lambda acc, p: kind(p, acc), reversed(parts))
             assert sentence_true(m, Forall("x", chain)) is expected
 
+    @pytest.mark.parametrize("count, expected", [(3000, True), (3001, False)])
+    def test_negation_chain_3000_deep(self, count, expected):
+        # Past the recursion limit; a chain of ~ compiles to one parity flip.
+        body = Eq(x, x)
+        for _ in range(count):
+            body = Not(body)
+        assert sentence_true(Model(2), Forall("x", body)) is expected
+
 
 class TestBudget:
     def test_budget_exceeded_raises(self):
