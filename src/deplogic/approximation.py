@@ -47,7 +47,6 @@ def _round_renamings(nf: NormalFormSentence, n: int) -> list[dict[str, str]]:
         mapping = {}
         for base in bases:
             name = fresh_variable(used, f"{base}_{level}")
-            used.add(name)
             mapping[base] = name
         rounds.append(mapping)
     return rounds

@@ -176,7 +176,6 @@ def _rename_binders(phi: Formula, env: dict[str, str], used: set[str]) -> Formul
     reached; every name picked is added to used."""
     if isinstance(phi, (Exists, Forall)):
         fresh = fresh_variable(used, phi.var)
-        used.add(fresh)
         (body,) = subformulas(phi)
         return type(phi)(fresh, _rename_binders(body, {**env, phi.var: fresh}, used))
 
@@ -196,7 +195,6 @@ def _unnest_atom(args: tuple[Term, ...], used: set[str]) -> Formula:
         if isinstance(t, Var):
             continue
         z = fresh_variable(used, "z")
-        used.add(z)
         inner = _unnest_atom(args[:i] + (Var(z),) + args[i + 1 :], used)
         return Exists(z, And(inner, Eq(Var(z), t)))
     return Dep(args)
@@ -252,7 +250,6 @@ def _hoist(theta: Formula, used: set[str]) -> tuple[Prefix, list[Dep], Formula]:
             raise ShapeError("dependence atoms must be unnested before hoisting")
         hint = theta.args[-1].name if theta.args else "z"
         z = fresh_variable(used, hint)
-        used.add(z)
         atom = Dep(tuple(theta.args[:-1]) + (Var(z),))
         # dep() hoists to the degenerate pattern exists z (dep(z) & z = z).
         target = theta.args[-1] if theta.args else Var(z)

@@ -6,14 +6,15 @@ the module; every team operation runs on int bitmasks over numbered rows.
 disjunction enumerates complementary splits of the team (sound by downward
 closure) and existential quantification enumerates supplement functions
 row by row.  The search numbers the rows it can meet, once per evaluation,
-and runs on teams as int bitmasks over those rows: each subformula is
-compiled once per model and row space into a closure from masks to
-verdicts, with a memo of its own.  `equiv_on_small_models` runs the same
-compiled search over every team of a model.  `sentence_true` decides a
-sentence that is not first-order through its normal form instead, by
-filling one table per dependence atom (the Skolem reading of the normal
-form).  A budget caps the number of candidates either search tries;
-exceeding it raises BudgetExceededError rather than guessing.
+and runs on teams as int bitmasks over those rows: each occurrence of a
+subformula is compiled once per model into a closure from masks to
+verdicts, with a memo of its own, and no formula is hashed.
+`equiv_on_small_models` runs the same compiled search over every team of
+a model.  `sentence_true` decides a sentence that is not first-order
+through its normal form instead, by filling one table per dependence atom
+(the Skolem reading of the normal form).  A budget caps the number of
+candidates either search tries; exceeding it raises BudgetExceededError
+rather than guessing.
 
 First-order parts are evaluated one way everywhere, in both searches and
 for first-order sentences: each is compiled once per model and call into
@@ -183,11 +184,11 @@ DEFAULT_BUDGET_POINTS = 10_000_000
 @dataclass(frozen=True)
 class SearchBudget:
     """Cap on enumerated witnesses.  In the team search of `satisfies` a
-    point is one supplement function or one split tried; a subformula
-    already decided on the same team is looked up in its memo and costs no
-    point.  In the Skolem search of `sentence_true` a point is one value
-    tried for one existential on one universal tuple, a value read from a
-    table included."""
+    point is one supplement function or one split tried; an occurrence of
+    a subformula already decided on the same team is looked up in its memo
+    and costs no point.  In the Skolem search of `sentence_true` a point is
+    one value tried for one existential on one universal tuple, a value
+    read from a table included."""
 
     max_choice_points: int = DEFAULT_BUDGET_POINTS
 
@@ -348,43 +349,35 @@ def _members(mask: int) -> list[int]:
 
 
 class _Space:
-    """A row space, with the nodes compiled over it and its child spaces."""
+    """A row space: its variable names, its rows and each name's slot."""
 
     def __init__(self, names: tuple[str, ...], rows: list[tuple[int, ...]]) -> None:
         self.names, self.rows, self.slots = names, rows, _slots(names)
-        self.nodes: dict[Formula, _TeamCode] = {}
-        self.children: dict[str, tuple[_Space, list[list[int]]]] = {}
 
 
 class _TeamCompiler:
-    """Team formulas compiled for one model.  Equal subformulas over equal
-    row spaces share one node, and so one memo, as equal (formula, team)
-    pairs do; every node spends from one counter."""
+    """Team formulas compiled for one model.  Each occurrence of a
+    subformula gets a node of its own, whose only state is its memo from
+    masks to verdicts; every node spends from one counter."""
 
     def __init__(self, m: Model, counter: _Counter) -> None:
         self.m, self.counter = m, counter
-        self.spaces: dict[tuple, _Space] = {}
-
-    def space(self, names: tuple[str, ...], rows: list[tuple[int, ...]]) -> _Space:
-        return self.spaces.setdefault((names, tuple(rows)), _Space(names, rows))
 
     def child(self, space: _Space, x: str) -> tuple[_Space, list[list[int]]]:
         """The child space of space at x, and for each row of space the bits
         of its extensions by the values 0, 1, ...  When x is a variable of
         space already, rows that differ only at x share their extensions."""
-        if x not in space.children:
-            names = tuple(sorted({*space.names, x}))
-            extended = [
-                [
-                    tuple({**dict(zip(space.names, row)), x: a}[v] for v in names)
-                    for a in range(self.m.size)
-                ]
-                for row in space.rows
+        names = tuple(sorted({*space.names, x}))
+        extended = [
+            [
+                tuple({**dict(zip(space.names, row)), x: a}[v] for v in names)
+                for a in range(self.m.size)
             ]
-            child = self.space(names, sorted({r for rs in extended for r in rs}))
-            bit = {row: 1 << i for i, row in enumerate(child.rows)}
-            space.children[x] = (child, [[bit[r] for r in rs] for rs in extended])
-        return space.children[x]
+            for row in space.rows
+        ]
+        child = _Space(names, sorted({r for rs in extended for r in rs}))
+        bit = {row: 1 << i for i, row in enumerate(child.rows)}
+        return child, [[bit[r] for r in rs] for rs in extended]
 
     def holds(self, phi: Formula, space: _Space) -> int:
         """The mask of the rows of space where first-order phi holds."""
@@ -393,12 +386,7 @@ class _TeamCompiler:
         return sum(1 << i for i, row in enumerate(space.rows) if code([*row, *pad]))
 
     def code(self, phi: Formula, space: _Space) -> _TeamCode:
-        code = space.nodes.get(phi)
-        if code is None:
-            code = space.nodes[phi] = self._build(phi, space)
-        return code
-
-    def _build(self, phi: Formula, space: _Space) -> _TeamCode:
+        """A new node for this occurrence of phi over space."""
         if is_first_order(phi):
             # Clause 1: a first-order formula holds iff it holds row by row.
             fails = ~self.holds(phi, space)
@@ -512,6 +500,11 @@ def satisfies(
     Both are counted against the budget and enumerated in a fixed order, so
     answers are deterministic and never depend on the budget unless it runs
     out.
+
+    A first-order part is decided row by row by compiled code, so `&`, `|`
+    and `~` chains of any depth in it need no recursion.  Each connective or
+    quantifier that is not first-order takes one Python frame to compile
+    and to decide.
     """
     if not free_vars(phi) <= team.variables:
         raise FreeVariableError(
@@ -524,7 +517,7 @@ def satisfies(
                 raise TeamError(f"team value {a} outside the model domain")
     rows = [tuple(a for _, a in s.items) for s in team.sorted_rows()]
     compiler = _TeamCompiler(m, _Counter(budget or SearchBudget()))
-    code = compiler.code(phi, compiler.space(tuple(sorted(team.variables)), rows))
+    code = compiler.code(phi, _Space(tuple(sorted(team.variables)), rows))
     return code((1 << len(rows)) - 1)
 
 
@@ -683,13 +676,9 @@ def enumerate_models(voc: Vocabulary, size: int) -> Iterator[Model]:
                 )
 
 
-def _all_rows(size: int, names: tuple[str, ...]) -> list[tuple[int, ...]]:
-    """Every row over names with values below size, in ascending order."""
-    return list(itertools.product(range(size), repeat=len(names)))
-
-
-def _team(names: tuple[str, ...], rows: list[tuple[int, ...]], mask: int) -> Team:
-    """The team of the rows whose bits are set in mask."""
+def _team(space: _Space, mask: int) -> Team:
+    """The team of the rows of space whose bits are set in mask."""
+    names, rows = space.names, space.rows
     return Team(
         frozenset(names),
         frozenset(Assignment(tuple(zip(names, rows[i]))) for i in _members(mask)),
@@ -707,11 +696,12 @@ def equiv_on_small_models(
     The vocabulary is inferred from the formulas' symbol uses.  Every team
     over the union of free variables is tried as a mask over all rows of
     the model, masks ascending, models in `enumerate_models` order; the
-    first disagreement is reported.  Both
-    formulas are compiled once per model over all its rows, so a subformula
-    is decided at most once per team of a model.  Each formula on each team
-    gets the whole budget; what an earlier team of the same model decided
-    is reused at no cost.  max_size must be at least 1.
+    first disagreement is reported.  The row space is built once per size;
+    both formulas are compiled once per model over all its rows, so each
+    occurrence of a subformula is decided at most once per team of a model.
+    Each formula on each team gets the whole budget; what an earlier team
+    of the same model decided is reused at no cost.  max_size must be at
+    least 1.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
@@ -719,16 +709,15 @@ def equiv_on_small_models(
     names = tuple(sorted(free_vars(phi) | free_vars(psi)))
     counter = _Counter(budget or SearchBudget())
     for size in range(1, max_size + 1):
-        rows = _all_rows(size, names)
+        space = _Space(names, list(itertools.product(range(size), repeat=len(names))))
         for m in enumerate_models(voc, size):
             compiler = _TeamCompiler(m, counter)
-            space = compiler.space(names, rows)
             left, right = compiler.code(phi, space), compiler.code(psi, space)
-            for mask in range(1 << len(rows)):
+            for mask in range(1 << len(space.rows)):
                 counter.reset()
                 a = left(mask)
                 counter.reset()
                 b = right(mask)
                 if a != b:
-                    return EquivResult(Counterexample(m, _team(names, rows, mask), a, b))
+                    return EquivResult(Counterexample(m, _team(space, mask), a, b))
     return EquivResult()

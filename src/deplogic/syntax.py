@@ -391,15 +391,15 @@ def rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
     return go(phi)
 
 
-def fresh_variable(avoid: Iterable[str], hint: str) -> str:
-    """A name not in `avoid`: the hint itself, else hint_1, hint_2, ..."""
-    taken = set(avoid)
-    if hint not in taken:
-        return hint
+def fresh_variable(used: set[str], hint: str) -> str:
+    """A name not in `used`, which is added to it: the hint itself, else
+    hint_1, hint_2, ..."""
+    name = hint
     for i in itertools.count(1):
-        candidate = f"{hint}_{i}"
-        if candidate not in taken:
-            return candidate
+        if name not in used:
+            used.add(name)
+            return name
+        name = f"{hint}_{i}"
     raise AssertionError("unreachable")
 
 

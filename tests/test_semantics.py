@@ -16,12 +16,14 @@ from deplogic import (
     Eq,
     Exists,
     Forall,
+    Formula,
     Model,
     Not,
     Or,
     Rel,
     SearchBudget,
     Team,
+    Term,
     Var,
     Vocabulary,
     build_approximation,
@@ -63,7 +65,7 @@ from helpers import (
     tarski,
     team_holds,
 )
-from deplogic.syntax import walk
+from deplogic.syntax import conjoin, walk
 
 x, y, z = Var("x"), Var("y"), Var("z")
 EXAMPLE3_FLAT_TEXT = "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))"
@@ -230,6 +232,34 @@ class TestSatisfies:
         team = Team(frozenset(), frozenset())
         assert satisfies(self.MODEL, team, phi)
 
+    @pytest.mark.parametrize("kind, filler", [(And, Eq(x, x)), (Or, Not(Eq(x, x)))])
+    @pytest.mark.parametrize("to_left", [True, False])
+    def test_chain_5000_operands_deep(self, kind, filler, to_left):
+        # Past the recursion limit; the filler is neutral, so the last
+        # operand decides the chain.
+        for last, expected in [(Eq(x, x), True), (Not(Eq(x, x)), False)]:
+            parts = [filler] * 4999 + [last]
+            if to_left:
+                chain = functools.reduce(kind, parts)
+            else:
+                chain = functools.reduce(lambda acc, p: kind(p, acc), reversed(parts))
+            phi = Forall("x", chain)
+            assert satisfies(self.MODEL, EMPTY_DOMAIN_SINGLETON, phi) is expected
+
+    @pytest.mark.parametrize("last, expected", [(Eq(y, x), True), (Not(Eq(x, y)), False)])
+    def test_existential_over_4999_equalities(self, last, expected):
+        body = conjoin([Dep((x, y))] + [Eq(y, x)] * 4998 + [last])
+        phi = Forall("x", Exists("y", body))
+        assert satisfies(self.MODEL, EMPTY_DOMAIN_SINGLETON, phi) is expected
+
+    @pytest.mark.parametrize("values, expected", [((0, 1), True), ((0, 1, 2), False)])
+    def test_disjunction_with_3000_operand_chain(self, values, expected):
+        # P holds at 0 only, so the rows off P go to dep(x): one fits, two do not.
+        phi = Or(Dep((x,)), conjoin([Rel("P", (x,))] * 3000))
+        m = Model(3, relations={"P": {(0,)}})
+        team = make_team(["x"], [{"x": a} for a in values])
+        assert satisfies(m, team, phi) is expected
+
 
 class TestSentenceTrue:
     def test_tautology(self):
@@ -394,6 +424,11 @@ class TestSkolemSearch:
 
 
 class TestEquivOracle:
+    def test_deep_chain_under_disjunction(self):
+        tautology = Or(Rel("P", (x,)), Not(Rel("P", (x,))))
+        deep = Or(Dep((x,)), conjoin([tautology] * 3000))
+        assert equiv_on_small_models(deep, Or(Dep((x,)), Eq(x, x)), 2).equivalent
+
     def test_formula_equivalent_to_itself(self):
         phi = parse_formula("forall x. (dep(x) | x = x)", VOC_C)
         assert equiv_on_small_models(phi, phi, 3).equivalent
@@ -434,6 +469,48 @@ class TestEquivOracle:
         )
         assert first.model.size == size
         assert equiv_on_small_models(phi, psi, 3).counterexample == first
+
+
+class TestNoFormulaHashed:
+    """The team search keeps no table keyed by formulas: with hashing of
+    every formula and term node made to fail, its verdicts stand."""
+
+    PAIRS = [
+        ("dep(x, y) | P(x)", "P(x) | dep(x, y)"),
+        ("(dep(x, y) & P(x)) & R(x, y)", "dep(x, y) & (P(x) & R(x, y))"),
+        ("dep(x, y) | dep(x, y)", "dep(x, y)"),
+        ("dep(x) | P(x)", "dep(x)"),
+        ("dep(x, y) & P(x)", "dep(x, y) | P(x)"),
+        ("forall y. (dep(x, y) | P(y))", "P(x) | ~P(x)"),
+    ]
+
+    @staticmethod
+    def _forbid_hashing(monkeypatch):
+        def unhashable(node):
+            raise AssertionError(f"{type(node).__name__} node hashed")
+
+        for base in (Formula, Term):
+            for cls in [base, *base.__subclasses__()]:
+                monkeypatch.setattr(cls, "__hash__", unhashable)
+        with pytest.raises(AssertionError):
+            hash(Forall("x", Eq(Apply("f", (x,)), Const("c"))))
+
+    def test_satisfies_on_corpus(self, monkeypatch):
+        rng = random.Random(20)
+        cases = []
+        for _, text, voc in CORPUS:
+            phi = parse_formula(text, voc)
+            m = random_model(rng, voc, 2)
+            cases.append((m, phi, satisfies(m, EMPTY_DOMAIN_SINGLETON, phi)))
+        self._forbid_hashing(monkeypatch)
+        for m, phi, expected in cases:
+            assert satisfies(m, EMPTY_DOMAIN_SINGLETON, phi) is expected
+
+    def test_equiv_on_template_pairs(self, monkeypatch):
+        pairs = [(parse_formula(a, VOC_PR), parse_formula(b, VOC_PR)) for a, b in self.PAIRS]
+        expected = [equiv_on_small_models(a, b, 2) for a, b in pairs]
+        self._forbid_hashing(monkeypatch)
+        assert [equiv_on_small_models(a, b, 2) for a, b in pairs] == expected
 
 
 class TestTeamSearchReference:

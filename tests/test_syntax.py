@@ -134,6 +134,12 @@ class TestFreshVariable:
     def test_counter_advances(self):
         assert fresh_variable({"z", "z_1"}, "z") == "z_2"
 
+    def test_returned_name_is_claimed(self):
+        used = {"z"}
+        name = fresh_variable(used, "z")
+        assert used == {"z", name}
+        assert fresh_variable(used, "z") == "z_2"
+
 
 class TestAlphaEqual:
     def test_renamed_binder(self):
