@@ -5,6 +5,10 @@ times with round-indexed variable copies.  Uniformity guards equate the
 witnesses of two rounds whenever the dependence arguments agree, one guard
 per entry of the guard set (the sentence's own dependence atoms plus a
 default atom over all universals for each undetermined existential).
+
+Later rounds only add conjuncts, so Phi^(n+1) |= Phi^n: once false, the
+chain stays false.  On a model of size k, with m universals, Phi |= Phi^n
+and Phi^(k**m) is equivalent to Phi, so the chain is constant from k**m on.
 """
 
 from __future__ import annotations
@@ -106,8 +110,15 @@ def approximation_chain_check(
     nf: NormalFormSentence, m: Model, up_to: int
 ) -> list[bool]:
     """Truth values of the first up_to approximations on a finite model.
-    Each approximation is first-order, so each is evaluated without a
-    search."""
+    Only unsettled ones are built and evaluated, first-order: the chain
+    stops after its first false value (later rounds only add conjuncts) and
+    at k**m (Phi |= Phi^n and Phi^(k**m) is equivalent to Phi on size k),
+    and the remaining entries repeat the last value computed."""
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
-    return [sentence_true(m, build_approximation(nf, i)) for i in range(1, up_to + 1)]
+    values: list[bool] = []
+    for i in range(1, min(up_to, m.size ** len(nf.universals)) + 1):
+        values.append(sentence_true(m, build_approximation(nf, i)))
+        if not values[-1]:
+            break
+    return values + values[-1:] * (up_to - len(values))

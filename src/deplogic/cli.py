@@ -207,7 +207,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=3)
     p.set_defaults(run=cmd_equiv)
 
-    p = sub.add_parser("chain", help="truth values of approximations 1..n")
+    p = sub.add_parser(
+        "chain", help="truth values of approximations 1..n; only unsettled ones are evaluated"
+    )
     common(p, vocab=False)
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--up-to", type=int, required=True)

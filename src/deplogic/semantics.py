@@ -528,16 +528,19 @@ def sentence_true(
 
     A first-order sentence is evaluated by Tarski semantics.  Any other is
     brought into normal form and decided by the Skolem search, which agrees
-    with `satisfies` on the team of the empty assignment.
+    with `satisfies` on the team of the empty assignment.  SentenceError is
+    raised by the compiler's slot lookup or before the normal form is built.
     """
-    if not is_sentence(phi):
-        raise SentenceError(
-            f"formula has free variables {sorted(free_vars(phi))}"
-        )
     if is_first_order(phi):
-        code, width = _compile(m, phi, {})
-        return code([0] * width)
-    return _skolem_true(m, to_normal_form(phi), _Counter(budget or SearchBudget()))
+        try:
+            code, width = _compile(m, phi, {})
+        except KeyError:  # a variable with no slot is free
+            pass
+        else:
+            return code([0] * width)
+    elif is_sentence(phi):
+        return _skolem_true(m, to_normal_form(phi), _Counter(budget or SearchBudget()))
+    raise SentenceError(f"formula has free variables {sorted(free_vars(phi))}")
 
 
 def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:

@@ -374,15 +374,16 @@ def substitute(phi: Formula, t: Term, x: str) -> Formula:
 def rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
     """Simultaneously rename free variables of a quantifier-free formula.
 
-    Only defined for quantifier-free inputs (no binders to collide with).
+    Only defined for quantifier-free inputs (no binders to collide with);
+    the walk raises ValueError at a quantifier.
     """
-    if not is_quantifier_free(phi):
-        raise ValueError("rename_free expects a quantifier-free formula")
 
     def rename(v: Var) -> Term:
         return Var(mapping.get(v.name, v.name))
 
     def go(f: Formula) -> Formula:
+        if isinstance(f, _QUANT):
+            raise ValueError("rename_free expects a quantifier-free formula")
         parts = subformulas(f)
         if parts:
             return rebuild(f, [go(p) for p in parts])

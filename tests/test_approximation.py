@@ -21,10 +21,12 @@ from deplogic import (
     parse_formula,
     sentence_true,
 )
+from deplogic import approximation
 from deplogic.normalform import NormalFormSentence, reassemble, to_normal_form
 from deplogic.syntax import bound_vars, conjuncts
 
 from helpers import (
+    CORPUS,
     EXAMPLE3_TEXT,
     SMALL_BUDGET,
     VOC_C,
@@ -149,12 +151,38 @@ class TestChainCheck:
         assert approximation_chain_check(nf, m1, 2) == [False, False]
 
     def test_chain_is_monotone_on_random_instances(self):
+        # The check stops after the first false value or at k**m, so compare
+        # it with every approximation built and evaluated.
         rng = random.Random(11)
-        for _ in range(10):
-            nf = random_normal_form(rng)
-            m = random_model(rng, VOC_R1C, rng.randint(1, 3))
-            values = approximation_chain_check(nf, m, 3)
-            assert values == sorted(values, reverse=True)
+        cases = [(to_normal_form(parse_formula(text, voc)), voc) for _, text, voc in CORPUS]
+        cases += [(random_normal_form(rng), VOC_R1C) for _ in range(30)]
+        settled_true = stopped_false = 0
+        for nf, voc in cases:
+            for size in (1, 2, 3):
+                m = random_model(rng, voc, size)
+                n = 5 if size < 3 else 4
+                expected = [
+                    sentence_true(m, build_approximation(nf, i)) for i in range(1, n + 1)
+                ]
+                for up_to in range(1, n + 1):
+                    assert approximation_chain_check(nf, m, up_to) == expected[:up_to], (nf, m)
+                assert expected == sorted(expected, reverse=True)
+                settled = size ** len(nf.universals)
+                settled_true += expected[-1] and settled < n
+                stopped_false += not expected[-1] and expected.index(False) < n - 1
+        assert settled_true >= 10 and stopped_false >= 10
+
+    def test_chain_evaluates_only_unsettled_approximations(self, monkeypatch):
+        calls = []
+
+        def counting(m, phi):
+            calls.append(phi)
+            return sentence_true(m, phi)
+
+        monkeypatch.setattr(approximation, "sentence_true", counting)
+        m3 = Model(3, constants={"c": 0})
+        assert approximation_chain_check(example3_nf(), m3, 40) == [True, True] + [False] * 38
+        assert len(calls) == 3
 
     def test_true_sentence_keeps_all_approximations(self):
         rng = random.Random(13)

@@ -50,8 +50,9 @@ class TestRecursionLimit:
         assert capsys.readouterr().out == "true\n"
 
     def test_long_approximation_chain_prints(self, tmp_path, capsys):
-        # Phi^17 and beyond: the chain runs past the interpreter's recursion
-        # limit in the nesting of the approximations.
+        # Phi^1 is false on one element, so the chain stops there and the
+        # other 39 values repeat it; Phi^40 itself is built and evaluated in
+        # test_semantics and printed by test_deep_approximation_prints.
         model = tmp_path / "m1.txt"
         model.write_text("domain 1\nconstant c = 0\n")
         argv = ["chain", "--model", str(model), "--formula", EXAMPLE3_TEXT, "--up-to", "40"]

@@ -4,6 +4,7 @@ contracts, frozen by hand enumeration where derived."""
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -32,6 +33,7 @@ from deplogic import (
     infer_vocabulary,
     is_first_order,
     parse_formula,
+    print_formula,
     satisfies,
     sentence_true,
     to_normal_form,
@@ -150,9 +152,12 @@ class TestCompiledAgainstTarski:
         assert shapes == {"rebinds", "quantifier under ~", "quantifier under |"}
 
     def test_deep_approximation_still_evaluates(self):
-        # Phi^16 of example 3 nests 48 quantifiers; on one element it is false.
+        # Phi^40 of example 3 nests 120 quantifiers; on one element it is
+        # false.  The chain check stops at Phi^1 there, so it is built here.
         nf = to_normal_form(parse_formula(EXAMPLE3_TEXT, VOC_C))
-        assert not sentence_true(Model(1, constants={"c": 0}), build_approximation(nf, 16))
+        phi40 = build_approximation(nf, 40)
+        assert not sentence_true(Model(1, constants={"c": 0}), phi40)
+        assert print_formula(phi40).count("forall") == 40
 
 
 def _shapes(phi):
@@ -270,6 +275,10 @@ class TestSentenceTrue:
     def test_rejects_open_formula(self):
         with pytest.raises(SentenceError):
             sentence_true(Model(2, constants={"c": 0}), Dep((x,)))
+
+    def test_rejects_open_first_order_formula(self):
+        with pytest.raises(SentenceError, match=re.escape("free variables ['x', 'y']")):
+            sentence_true(Model(2), Eq(x, y))
 
     def test_example3_false_on_size_two(self):
         phi = parse_formula(EXAMPLE3_TEXT, VOC_C)

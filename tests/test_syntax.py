@@ -34,6 +34,7 @@ from deplogic.syntax import (
     conjoin,
     conjuncts,
     is_quantifier_free,
+    rename_free,
     term_vars,
 )
 
@@ -122,6 +123,21 @@ class TestSubstitute:
             assert free_vars(out) == (free_vars(phi) - {"x"}) | term_vars(t)
             checked += 1
         assert checked > 50
+
+
+class TestRenameFree:
+    def test_renames_simultaneously(self):
+        phi = And(Eq(x, y), Rel("R", (Apply("f", (y,)),)))
+        expected = And(Eq(y, x), Rel("R", (Apply("f", (x,)),)))
+        assert rename_free(phi, {"x": "y", "y": "x"}) == expected
+
+    @pytest.mark.parametrize("depth", [0, 100])
+    def test_rejects_a_quantifier_at_any_depth(self, depth):
+        phi = Exists("z", Eq(z, x))
+        for _ in range(depth):
+            phi = Not(Or(Eq(x, y), phi))
+        with pytest.raises(ValueError, match="quantifier-free"):
+            rename_free(phi, {"x": "y"})
 
 
 class TestFreshVariable:
