@@ -15,9 +15,10 @@ program's own functions and compares once: forall_e and exists_i through
 dep_intro, dep_elim and dep_distribute accept their built conclusion up to
 the names of bound variables and the bracketing of &, and dep_intro also up
 to the order of the dependence atom's context.  The other rules compare
-formulas exactly.  An assumption left open must match a hypothesis up to
-the names of bound variables and the bracketing of &; the bracketing of |
-stays significant, since disj_assoc is its own rule.
+exactly, all through `syntax.identical`, which does not recurse.  An
+assumption left open must match a hypothesis up to the names of bound
+variables and the bracketing of &; the bracketing of | stays significant,
+since disj_assoc is its own rule.
 
 The table `_RULES` at the end of the module is the one place that defines
 a rule: how many premises it cites, how many assumptions it discharges,
@@ -50,6 +51,7 @@ from .syntax import (
     conjoin,
     conjuncts,
     free_vars,
+    identical,
     is_first_order,
     operands,
     quantify,
@@ -264,20 +266,20 @@ def _free_in_open(x: str, ctx, k: int, condition: int) -> list[str]:
 
 
 def _check_and_i(c, ps, ds, ctx):
-    if c != And(*ps):
+    if not identical(c, And(*ps)):
         return ["conclusion is not the conjunction of the premises in order"]
     return []
 
 
 def _check_and_e(side, c, ps, ds, ctx):
     (p,) = ps
-    if not isinstance(p, And) or c != getattr(p, side):
+    if not isinstance(p, And) or not identical(c, getattr(p, side)):
         return [f"conclusion is not the {side} conjunct of the premise"]
     return []
 
 
 def _check_or_i(side, c, ps, ds, ctx):
-    if not isinstance(c, Or) or getattr(c, side) != ps[0]:
+    if not isinstance(c, Or) or not identical(getattr(c, side), ps[0]):
         return [f"conclusion must be a disjunction whose {side} disjunct is the premise"]
     return []
 
@@ -287,11 +289,11 @@ def _check_or_e(c, ps, ds, ctx):
     if not isinstance(disj, Or):
         return ["first premise must be a disjunction"]
     problems = []
-    if ds[0] != disj.left:
+    if not identical(ds[0], disj.left):
         problems.append("first discharged assumption must be the left disjunct")
-    if ds[1] != disj.right:
+    if not identical(ds[1], disj.right):
         problems.append("second discharged assumption must be the right disjunct")
-    if c1 != c or c2 != c:
+    if not (identical(c1, c) and identical(c2, c)):
         problems.append("both subderivations must conclude the step's formula")
     if not is_first_order(c):
         problems.append("Condition 1: the conclusion must be first-order")
@@ -313,13 +315,13 @@ def _check_neg_i(c, ps, ds, ctx):
     if not (
         isinstance(contradiction, And)
         and isinstance(contradiction.right, Not)
-        and contradiction.right.body == contradiction.left
+        and identical(contradiction.right.body, contradiction.left)
     ):
         problems.append("premise must have shape B & ~B")
     if not is_first_order(assumption):
         problems.append("Condition 2: the discharged assumption must be first-order")
         return problems
-    if c != Not(assumption):
+    if not identical(c, Not(assumption)):
         problems.append("conclusion must be the negation of the discharged assumption")
     return problems
 
@@ -328,13 +330,13 @@ def _check_neg_e(c, ps, ds, ctx):
     (p,) = ps
     if not (isinstance(p, Not) and isinstance(p.body, Not)):
         return ["premise must be a double negation"]
-    if c != p.body.body:
+    if not identical(c, p.body.body):
         return ["conclusion must be the doubly negated formula"]
     return []
 
 
 def _check_forall_i(c, ps, ds, ctx):
-    if not isinstance(c, Forall) or c.body != ps[0]:
+    if not isinstance(c, Forall) or not identical(c.body, ps[0]):
         return ["conclusion must universally quantify the premise"]
     return _free_in_open(c.var, ctx, 0, 3)
 
@@ -349,11 +351,11 @@ def _check_instantiation(template: Formula, x: str, instance: Formula) -> list[s
             for a, b, bound in pairs
             if x not in bound
             for v, u in zip(walk_term(a), walk_term(b))
-            if v == Var(x)
+            if identical(v, Var(x))
         )
         try:
             # With no free x, substituting x for itself leaves template as is.
-            if substitute(template, next(first, Var(x)), x) == instance:
+            if identical(substitute(template, next(first, Var(x)), x), instance):
                 return []
         except CaptureError:
             return ["a variable of the substituted term would become bound"]
@@ -379,9 +381,9 @@ def _check_exists_e(c, ps, ds, ctx):
         return ["first premise must be existentially quantified"]
     x = ex.var
     problems = []
-    if ds[0] != ex.body:
+    if not identical(ds[0], ex.body):
         problems.append("discharged assumption must be the quantified body")
-    if c != body_conclusion:
+    if not identical(c, body_conclusion):
         problems.append("conclusion must equal the second premise")
     if x in free_vars(c):
         problems.append(f"Condition 4: {x} is free in the conclusion")
@@ -393,16 +395,16 @@ def _check_disj_subst(c, ps, ds, ctx):
     if not isinstance(disj, Or):
         return ["first premise must be a disjunction"]
     problems = []
-    if ds[0] != disj.right:
+    if not identical(ds[0], disj.right):
         problems.append("the discharged assumption must be the right disjunct")
-    if c != Or(disj.left, derived):
+    if not identical(c, Or(disj.left, derived)):
         problems.append("conclusion must replace the right disjunct by the derived formula")
     return problems
 
 
 def _check_disj_comm(c, ps, ds, ctx):
     (p,) = ps
-    if not isinstance(p, Or) or c != Or(p.right, p.left):
+    if not isinstance(p, Or) or not identical(c, Or(p.right, p.left)):
         return ["conclusion must be the premise with disjuncts swapped"]
     return []
 
@@ -412,7 +414,7 @@ def _check_disj_assoc(c, ps, ds, ctx):
     if (
         not isinstance(p, Or)
         or not isinstance(p.left, Or)
-        or c != Or(p.left.left, Or(p.left.right, p.right))
+        or not identical(c, Or(p.left.left, Or(p.left.right, p.right)))
     ):
         return ["conclusion must reassociate (A | B) | C to A | (B | C)"]
     return []
@@ -425,7 +427,7 @@ def _check_scope(quant, c, ps, ds, ctx):
     x = p.left.var
     if x in free_vars(p.right):
         return [f"scope extension requires {x} not free in the right disjunct"]
-    if c != quant(x, Or(p.left.body, p.right)):
+    if not identical(c, quant(x, Or(p.left.body, p.right))):
         return ["conclusion must extend the quantifier scope over the disjunction"]
     return []
 
@@ -440,7 +442,7 @@ def _check_unnest(c, ps, ds, ctx):
         return ["the introduced variable must be new to the atom"]
     z = Var(c.var)
     if not any(
-        c == Exists(c.var, And(Dep(p.args[:i] + (z,) + p.args[i + 1 :]), Eq(z, t)))
+        identical(c, Exists(c.var, And(Dep(p.args[:i] + (z,) + p.args[i + 1 :]), Eq(z, t))))
         for i, t in enumerate(p.args)
     ):
         return ["conclusion must replace one argument by the fresh variable, equated to it"]
@@ -530,9 +532,7 @@ def _rewrites_to(a: Formula, b: Formula, t1: Term, t2: Term) -> bool:
     by t2; under binders only when the binder does not touch t1 or t2."""
 
     def rt(x: Term, y: Term) -> bool:
-        if x == y:
-            return True
-        if x == t1 and y == t2:
+        if identical(x, y) or identical(x, t1) and identical(y, t2):
             return True
         if isinstance(x, Apply) and isinstance(y, Apply):
             return (
@@ -545,18 +545,18 @@ def _rewrites_to(a: Formula, b: Formula, t1: Term, t2: Term) -> bool:
     touched = term_vars(t1) | term_vars(t2)
     pairs = aligned_terms(a, b)
     return pairs is not None and all(
-        s == t if touched.intersection(bound) else rt(s, t) for s, t, bound in pairs
+        identical(s, t) if touched.intersection(bound) else rt(s, t) for s, t, bound in pairs
     )
 
 
 def _check_identity(c, ps, ds, ctx):
     if not ps:
-        if isinstance(c, Eq) and c.left == c.right:
+        if isinstance(c, Eq) and identical(c.left, c.right):
             return []
         return ["a zero-premise identity step must conclude t = t"]
     if len(ps) == 1:
         (p,) = ps
-        if isinstance(p, Eq) and c == Eq(p.right, p.left):
+        if isinstance(p, Eq) and identical(c, Eq(p.right, p.left)):
             return []
         return ["a one-premise identity step must conclude symmetry"]
     if len(ps) == 2:
@@ -565,8 +565,8 @@ def _check_identity(c, ps, ds, ctx):
             isinstance(p1, Eq)
             and isinstance(p2, Eq)
             and isinstance(c, Eq)
-            and p1.right == p2.left
-            and c == Eq(p1.left, p2.right)
+            and identical(p1.right, p2.left)
+            and identical(c, Eq(p1.left, p2.right))
         ):
             return []
         if isinstance(p1, Eq) and is_first_order(p2) and is_first_order(c):

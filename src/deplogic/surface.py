@@ -7,8 +7,9 @@ with one loop over an explicit stack, so any nesting depth parses.  Columns
 are found only for an error, by reading its line again, so each error
 points at the token where reading stopped.  The formula grammar is parsed
 with the vocabulary in hand, so identifiers are classified as relations,
-functions, constants, or variables at parse time.  Printing is canonical:
-parse(print(ast)) is structurally identical to ast.
+functions, constants, or variables at parse time.  A proof script repeats
+many formulas, and each distinct one is read once per script.  Printing is
+canonical: parse(print(ast)) is structurally identical to ast.
 """
 
 from __future__ import annotations
@@ -531,10 +532,17 @@ def format_team(team: Team) -> str:
 # Proof scripts
 
 def parse_proof(src: str, voc: Vocabulary) -> Proof:
-    """Parse `<idx>. <formula> <rule> [premises] [discharge <idx list>]` lines."""
+    """Parse `<idx>. <formula> <rule> [premises] [discharge <idx list>]` lines.
+
+    A formula whose token texts were read before in this call, up to a rule
+    name, is not read again: its steps share one Formula.  That cannot change
+    an error, since those tokens read without one and the formula reader
+    stops at a name; a line whose formula does not end at its rule raises.
+    The table's keys are strings, so no formula is hashed."""
     cursor = _Cursor(_lines(src), voc)
     steps: list[ProofStep] = []
     seen: set[int] = set()
+    read: dict[tuple[str, ...], Formula] = {}  # a formula's token texts -> it
 
     def references() -> tuple[int, ...]:
         refs = []
@@ -550,7 +558,16 @@ def parse_proof(src: str, voc: Vocabulary) -> Proof:
         if index <= (steps[-1].index if steps else 0):
             raise cursor.error(f"step indices must increase (got {index})", cursor.pos - 1)
         cursor.expect(".", "'.' after the step index")
-        formula = cursor.formula()
+        # The line ends `rule INT* [discharge INT+]`, and its formula at the rule.
+        at = len(cursor.kinds) - 2
+        while cursor.kinds[at] == "INT" or cursor.texts[at] == "discharge":
+            at -= 1
+        key = tuple(cursor.texts[cursor.pos : at])
+        formula = read.get(key) if cursor.kinds[at] == "IDENT" else None
+        if formula is None:
+            formula = read[key] = cursor.formula()
+        else:
+            cursor.pos = at
         rule = cursor.expect("IDENT", "a rule name")
         if rule not in RULES:
             raise cursor.error(f"unknown rule name {rule!r}", cursor.pos - 1)

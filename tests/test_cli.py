@@ -59,6 +59,16 @@ class TestRecursionLimit:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.split() == ["false"] * 40
 
+    def test_deep_proof_is_checked(self, tmp_path, capsys):
+        deep = "~" * 3000 + "c = c"
+        (tmp_path / "v.txt").write_text("constant c\n")
+        (tmp_path / "h.txt").write_text(f"({deep}) & c = c\n")
+        (tmp_path / "p.txt").write_text(f"1. ({deep}) & c = c assume\n2. {deep} and_e_l 1\n")
+        argv = ["check-proof", "--vocab", str(tmp_path / "v.txt"),
+                "--proof", str(tmp_path / "p.txt"), "--hypotheses", str(tmp_path / "h.txt")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "accepted\n"
+
 
 class TestCheckProof:
     PREMISE = "exists x. forall y. (R(x,y) | P(z))"

@@ -1,7 +1,8 @@
 """Tests for the proof kernel: step lookup, open assumptions, repeated
-discharges, the dependence rules 7, 8 and dep_distribute on conjunctions of
-any bracketing and renamed bound variables, a per-rule corpus, and whole
-gadgets of the benchmark's proof generator."""
+discharges, formulas nested past the recursion limit, the dependence rules
+7, 8 and dep_distribute on conjunctions of any bracketing and renamed bound
+variables, a per-rule corpus, and whole gadgets of the benchmark's proof
+generator."""
 
 import random
 import sys
@@ -87,6 +88,23 @@ class TestOpenAssumptions:
         report = check_proof(parse_proof(text, VOC_PQR), [parse_formula("~P(x)", VOC_PQR)])
         messages = [(i, d.message) for i, d in report.failures]
         assert messages == [(4, "the step discharges assumption 1 twice")]
+
+
+class TestDeepProof:
+    """Formulas nested past the recursion limit are compared without
+    recursion."""
+
+    N = 3000
+
+    def test_and_elimination_under_deep_negation(self):
+        voc = Vocabulary(constants={"c"})
+        deep = "~" * self.N + "c = c"
+        script = f"1. ({deep}) & c = c assume\n2. {deep} and_e_l 1\n"
+        hypotheses = parse_hypotheses(f"({deep}) & c = c\n", voc)
+        assert check_proof(parse_proof(script, voc), hypotheses).accepted
+        mutant = f"1. ({deep}) & c = c assume\n2. ~{deep} and_e_l 1\n"
+        report = check_proof(parse_proof(mutant, voc), hypotheses)
+        assert [i for i, _ in report.failures] == [2]
 
 
 class TestRule7:

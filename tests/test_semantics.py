@@ -28,11 +28,13 @@ from deplogic import (
     Var,
     Vocabulary,
     build_approximation,
+    check_proof,
     equiv_on_small_models,
     free_vars,
     infer_vocabulary,
     is_first_order,
     parse_formula,
+    parse_proof,
     print_formula,
     satisfies,
     sentence_true,
@@ -481,8 +483,9 @@ class TestEquivOracle:
 
 
 class TestNoFormulaHashed:
-    """The team search keeps no table keyed by formulas: with hashing of
-    every formula and term node made to fail, its verdicts stand."""
+    """The team search, the proof reader and the proof kernel keep no table
+    keyed by formulas: with hashing of every formula and term node made to
+    fail, their results stand."""
 
     PAIRS = [
         ("dep(x, y) | P(x)", "P(x) | dep(x, y)"),
@@ -520,6 +523,25 @@ class TestNoFormulaHashed:
         expected = [equiv_on_small_models(a, b, 2) for a, b in pairs]
         self._forbid_hashing(monkeypatch)
         assert [equiv_on_small_models(a, b, 2) for a, b in pairs] == expected
+
+    def test_proof_script_with_repeats(self, monkeypatch):
+        voc = Vocabulary(relations={"P": 1, "R": 2}, constants={"c"})
+        script = (
+            "1. exists x. forall y. R(x, y) assume\n"
+            "2. forall y. exists x. (dep(x) & R(x, y)) dep_intro 1\n"
+            "3. P(c) assume\n"
+            "4. P(c) assume\n"
+            "5. P(c) & P(c) and_i 3 4\n"
+            "6. P(c) and_e_r 5\n"
+            "7. P(c) | R(c, c) or_i_l 6\n"
+            "8. exists x. forall y. R(x, y) assume\n"
+            "9. P(c) | R(c, c) or_i_r 6\n"
+        )
+        hypotheses = [parse_formula(h, voc) for h in ("exists x. forall y. R(x, y)", "P(c)")]
+        expected = check_proof(parse_proof(script, voc), hypotheses).failures
+        assert [i for i, _ in expected] == [9]
+        self._forbid_hashing(monkeypatch)
+        assert check_proof(parse_proof(script, voc), hypotheses).failures == expected
 
 
 class TestTeamSearchReference:

@@ -30,6 +30,7 @@ from deplogic import (
 )
 from deplogic.semantics import Assignment, Model, enumerate_models
 from deplogic.surface import format_model, format_team
+from deplogic.syntax import identical
 
 from helpers import VOC_C, VOC_R1C, enumerate_teams, random_formula
 
@@ -189,6 +190,13 @@ class TestErrorCorpus:
         ("proof", "1. (c = c\n$", "1:9-10: expected ')', found end of line"),
         ("proof", "1. c = c assume\n2. forall x. assume",
          "2:19-20: expected '=' after a term, found end of line"),
+        # a formula read before: the same errors where the line goes on
+        ("proof", "1. c = c assume\n2. c = c frobnicate", "2:9-19: unknown rule name 'frobnicate'"),
+        ("proof", "1. c = c assume\n2. c = c assume 5", "2:16-17: dangling reference to step 5"),
+        ("proof", "1. c = c assume\n2. c = c assume discharge",
+         "2:25-26: `discharge` must be followed by step indices"),
+        ("proof", "1. c = c assume\n2. c = c discharge 1", "2:9-18: unknown rule name 'discharge'"),
+        ("proof", "1. c = c assume\n2. c = c c = c assume", "2:9-10: unknown rule name 'c'"),
         ("proof", "# only\n", "1:6-7: empty proof script"),
         ("proof", "", "1:0-1: empty proof script"),
         # hypotheses: one formula per line
@@ -508,6 +516,31 @@ class TestParseProof:
         with pytest.raises(ParseError) as e:
             parse_proof("1. c = c frobnicate", Vocabulary(constants={"c"}))
         assert "unknown rule" in str(e.value)
+
+    def test_repeated_formulas_are_read_once(self):
+        voc = Vocabulary(relations={"P": 1}, constants={"c"})
+        lines = [
+            ("forall x. (P(x) | x = c)", "assume"),
+            ("P(c)", "assume"),
+            ("forall x. (P(x) | x = c)", "assume"),
+            ("P(c) & P(c)", "and_i 2 2"),
+            ("P(c)", "and_e_l 4"),
+            ("forall x. (P(x) | x = c)", "assume discharge 1"),
+        ]
+        script = "".join(f"{i}. {text} {rest}\n" for i, (text, rest) in enumerate(lines, 1))
+        steps = parse_proof(script, voc).steps
+        for step, (text, _) in zip(steps, lines):
+            assert identical(step.formula, parse_formula(text, voc))
+        assert steps[0].formula is steps[2].formula is steps[5].formula
+        assert steps[1].formula is steps[4].formula
+        assert steps[5].discharged == (1,)
+
+    def test_formula_may_end_in_a_variable_named_discharge(self):
+        script = "1. x = discharge assume\n2. x = discharge assume\n"
+        steps = parse_proof(script, EMPTY).steps
+        assert [(s.formula, s.rule, s.discharged) for s in steps] == [
+            (Eq(x, Var("discharge")), "assume", ())
+        ] * 2
 
 
 class TestParseVocabulary:

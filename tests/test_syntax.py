@@ -1,6 +1,8 @@
 """Tests for terms, formulas, and structural utilities."""
 
+import copy
 import functools
+import itertools
 import random
 
 import pytest
@@ -30,17 +32,22 @@ from deplogic import (
 )
 from deplogic.syntax import (
     alpha_key,
+    atom_terms,
     bound_vars,
     conjoin,
     conjuncts,
+    identical,
     is_quantifier_free,
     rename_free,
     term_vars,
+    walk,
+    walk_term,
 )
 
 from helpers import VOC_R1C, alpha_equal, random_formula
 
 x, y, z = Var("x"), Var("y"), Var("z")
+VOC_R2F1C = Vocabulary(relations={"R": 2}, functions={"f": 1}, constants={"c"})
 
 
 class TestFreeVars:
@@ -209,6 +216,54 @@ class TestAlphaEqual:
             assert (alpha_key(phi) == alpha_key(psi)) == expected
             assert alpha_equal(phi, psi) == expected
 
+    def test_a_rebound_name_takes_its_new_depth(self):
+        # Three names are bound above z, though only two distinct ones.
+        def shadowed(*args):
+            return Forall("x", Forall("y", Forall("x", Forall("z", Rel("R", args)))))
+
+        assert alpha_key(shadowed(x, z)) != alpha_key(shadowed(z, x))
+        assert alpha_key(shadowed(x, z)) == alpha_key(canonical(shadowed(x, z)))
+
+    def test_alpha_key_against_renaming_under_rebinding(self):
+        rng = random.Random(12)
+        formulas = [
+            random_formula(rng, VOC_R2F1C, ["x", "y"], depth=4, rebind=True) for _ in range(500)
+        ]
+        renamed = [canonical(phi) for phi in formulas]
+        terms = {type(u) for phi in formulas for f, _ in walk(phi)
+                 for t in atom_terms(f) for u in walk_term(t)}
+        assert terms == {Var, Const, Apply}
+        assert any(f.var in binders for phi in formulas for f, binders in walk(phi)
+                   if isinstance(f, (Exists, Forall)))
+        pairs = list(zip(formulas, renamed)) + list(zip(formulas, renamed[1:]))
+        for phi, psi in pairs:
+            expected = canonical(phi) == canonical(psi)
+            assert (alpha_key(phi) == alpha_key(psi)) == expected, (phi, psi)
+
+
+class TestIdentical:
+    """`identical` against the dataclass `==`, which recurses."""
+
+    def test_agrees_with_eq(self):
+        rng = random.Random(13)
+        formulas = [random_formula(rng, VOC_R2F1C, ["x", "y"], depth=2) for _ in range(400)]
+        pairs = [(phi, copy.deepcopy(phi)) for phi in formulas]
+        pairs += list(itertools.combinations(formulas[:60], 2))
+        pairs += [(s, t) for phi, psi in zip(formulas, formulas[1:])
+                  for s, t in zip(atom_terms(phi), atom_terms(psi))]
+        assert {phi == psi for phi, psi in pairs[400:]} == {True, False}
+        for phi, psi in pairs:
+            assert identical(phi, psi) == (phi == psi), (phi, psi)
+
+    def test_binder_names_and_bracketing_count(self):
+        a, b, c = Rel("R", (x, y)), Eq(x, y), Dep((x, y))
+        assert not identical(Exists("x", a), Exists("z", a))
+        assert not identical(And(And(a, b), c), And(a, And(b, c)))
+        assert not identical(Rel("R", (x, y)), Rel("S", (x, y)))
+        assert not identical(Dep((x, y)), Dep((x,)))
+        assert not identical(Var("c"), Const("c"))
+        assert identical(Apply("f", (x,)), Apply("f", (Var("x"),)))
+
 
 def canonical(phi, env=None, depth=0):
     """phi with every bound variable renamed to `#<depth of its binder>` and
@@ -361,3 +416,14 @@ class TestDeepFormulas:
         renamed = Exists("z", conjoin([Eq(z, y)] * 5000))
         assert alpha_equal(Exists("x", matrix), renamed)
         assert not alpha_equal(Exists("x", matrix), Exists("y", matrix))
+
+    def test_identical_returns(self):
+        phi, same, other = Eq(x, y), Eq(x, y), Eq(y, x)
+        term, same_term = x, Var("x")
+        for _ in range(self.N):
+            phi, same, other = Not(phi), Not(same), Not(other)
+            term, same_term = Apply("f", (term,)), Apply("f", (same_term,))
+        assert identical(phi, same)
+        assert not identical(phi, other)
+        assert identical(term, same_term)
+        assert not identical(term, Apply("f", (same_term,)))
