@@ -7,7 +7,8 @@ into forall*-exists* shape, trading each crossed universal for a dependence
 atom that pins the moved witness to the variables already in scope.
 
 Each stage is public: preprocess, to_prenex, hoist_dep_atoms and
-pull_existentials_left.  to_normal_form composes them, after reading off a
+pull_existentials_left.  The first three are each one syntax.rewrite call,
+so fresh names are picked in pre-order, left to right, at any depth.  to_normal_form composes them, after reading off a
 sentence already of the normal shape as it stands.  A quantifier prefix is
 a syntax.Prefix, a list of (Forall | Exists, variable) pairs, outermost
 first; syntax.quantify builds a formula from one and syntax.strip_prefix
@@ -26,7 +27,6 @@ from .syntax import (
     Forall,
     Formula,
     Not,
-    Or,
     Prefix,
     Term,
     Var,
@@ -41,7 +41,7 @@ from .syntax import (
     map_terms,
     map_vars,
     quantify,
-    rebuild,
+    rewrite,
     strip_prefix,
     subformulas,
 )
@@ -166,26 +166,19 @@ def match_normal_form(phi: Formula) -> NormalFormSentence:
 
 def preprocess(phi: Formula) -> Formula:
     """Alpha-variant with pairwise-distinct binders, no variable both free
-    and bound, and dependence atoms over variables only."""
-    return _rename_binders(phi, {}, set(free_vars(phi)))
+    and bound, and dependence atoms over variables only, each unnested where
+    it is reached."""
+    used = set(free_vars(phi))
 
+    def bind(q: Formula, env: dict[str, str]) -> tuple[str, dict[str, str]]:
+        fresh = fresh_variable(used, q.var)
+        return fresh, {**env, q.var: fresh}
 
-def _rename_binders(phi: Formula, env: dict[str, str], used: set[str]) -> Formula:
-    """phi with each binder renamed to a name not in used, bound variables
-    renamed as env says, and each dependence atom unnested where it is
-    reached; every name picked is added to used."""
-    if isinstance(phi, (Exists, Forall)):
-        fresh = fresh_variable(used, phi.var)
-        (body,) = subformulas(phi)
-        return type(phi)(fresh, _rename_binders(body, {**env, phi.var: fresh}, used))
+    def atom(f: Formula, env: dict[str, str]) -> Formula:
+        renamed = map_terms(f, lambda t: map_vars(t, lambda v: Var(env.get(v.name, v.name))))
+        return _unnest_atom(renamed.args, used) if isinstance(renamed, Dep) else renamed
 
-    def rename(t: Term) -> Term:
-        return map_vars(t, lambda v: Var(env.get(v.name, v.name)))
-
-    renamed = map_terms(phi, rename)
-    if isinstance(renamed, Dep):
-        return _unnest_atom(renamed.args, used)
-    return rebuild(renamed, [_rename_binders(p, env, used) for p in subformulas(phi)])
+    return rewrite(phi, atom, bind, {})
 
 
 def _unnest_atom(args: tuple[Term, ...], used: set[str]) -> Formula:
@@ -204,26 +197,20 @@ def _unnest_atom(args: tuple[Term, ...], used: set[str]) -> Formula:
 # Stage 1: prenex form
 
 def to_prenex(phi: Formula) -> Formula:
-    """Equivalent prenex formula; the left operand's prefix comes first."""
-    return quantify(*_prenex(phi))
+    """Equivalent prenex formula: phi's quantifiers in pre-order, each the
+    dual under an odd number of ~, over phi with every quantifier dropped."""
+    prefix: Prefix = []
+    stack = [(phi, False)]
+    while stack:
+        f, negated = stack.pop()
+        if isinstance(f, (Exists, Forall)):
+            prefix.append((_DUAL[type(f)] if negated else type(f), f.var))
+        negated ^= isinstance(f, Not)
+        stack += [(p, negated) for p in reversed(subformulas(f))]
+    return quantify(prefix, rewrite(phi, lambda f, _: f, lambda q, _: (None, None), None))
 
 
 _DUAL = {Forall: Exists, Exists: Forall}
-
-
-def _prenex(phi: Formula) -> tuple[Prefix, Formula]:
-    if isinstance(phi, Not):
-        prefix, matrix = _prenex(phi.body)
-        return [(_DUAL[kind], v) for kind, v in prefix], Not(matrix)
-    if isinstance(phi, (And, Or)):
-        lp, lm = _prenex(phi.left)
-        rp, rm = _prenex(phi.right)
-        return lp + rp, type(phi)(lm, rm)
-    prefix, body = strip_prefix(phi)
-    if not prefix:
-        return [], phi
-    inner, matrix = _prenex(body)
-    return prefix + inner, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -232,36 +219,29 @@ def _prenex(phi: Formula) -> tuple[Prefix, Formula]:
 def hoist_dep_atoms(theta: Formula) -> Formula:
     """Equivalent form prefix exists z... (deps & core) for a prenex input
     (a quantifier-free one has the empty prefix).  The prefix is kept, and
-    the hoisting names avoid every variable of the input."""
+    the hoisting names avoid every variable of the input.  Each atom
+    dep(w, v) becomes z = v where it stands, and dep(w, z) moves in front."""
     prefix, matrix = strip_prefix(theta)
-    if not is_quantifier_free(matrix):
-        raise ShapeError("hoisting expects a prenex formula")
-    zs, atoms, core = _hoist(matrix, set(all_vars(theta)))
-    return quantify(prefix + zs, conjoin(atoms + [core]))
+    used = set(all_vars(theta))
+    zs: Prefix = []
+    atoms: list[Formula] = []
 
-
-def _hoist(theta: Formula, used: set[str]) -> tuple[Prefix, list[Dep], Formula]:
-    """The fresh existentials, the dependence atoms over them and the
-    first-order core that together replace theta's dependence atoms."""
-    if is_first_order(theta):
-        return [], [], theta
-    if isinstance(theta, Dep):
-        if not all(isinstance(t, Var) for t in theta.args):
-            raise ShapeError("dependence atoms must be unnested before hoisting")
-        hint = theta.args[-1].name if theta.args else "z"
-        z = fresh_variable(used, hint)
-        atom = Dep(tuple(theta.args[:-1]) + (Var(z),))
+    def atom(f: Formula, _: None) -> Formula:
+        if not isinstance(f, Dep) or not all(isinstance(t, Var) for t in f.args):
+            return f  # a nested atom stays in the core and is reported below
+        z = fresh_variable(used, f.args[-1].name if f.args else "z")
+        zs.append((Exists, z))
+        atoms.append(Dep(f.args[:-1] + (Var(z),)))
         # dep() hoists to the degenerate pattern exists z (dep(z) & z = z).
-        target = theta.args[-1] if theta.args else Var(z)
-        return [(Exists, z)], [atom], Eq(Var(z), target)
-    if isinstance(theta, Or):
-        lz, la, lc = _hoist(theta.left, used)
-        rz, ra, rc = _hoist(theta.right, used)
-        return lz + rz, la + ra, Or(lc, rc)
-    if isinstance(theta, And):
-        zs, atoms, cores = zip(*(_hoist(p, used) for p in conjuncts(theta)))
-        return sum(zs, []), sum(atoms, []), conjoin(cores)
-    raise ShapeError(f"cannot hoist through {type(theta).__name__}")
+        return Eq(Var(z), f.args[-1] if f.args else Var(z))
+
+    def bind(q: Formula, _: None) -> tuple[str, None]:
+        raise ShapeError("hoisting expects a prenex formula")
+
+    core = rewrite(matrix, atom, bind, None)
+    if not is_first_order(core):
+        raise ShapeError("dependence atoms must be unnested before hoisting")
+    return quantify(prefix + zs, conjoin(atoms + [core]))
 
 
 # ---------------------------------------------------------------------------

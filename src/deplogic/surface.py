@@ -329,30 +329,25 @@ _ASCII = {"forall": "forall ", "exists": "exists ", "and": "&", "or": "|", "not"
 _PRETTY = {"forall": "∀", "exists": "∃", "and": "∧", "or": "∨", "not": "¬"}
 
 
-def format_term(t: Term) -> str:
-    if isinstance(t, (Var, Const)):
-        return t.name
-    assert isinstance(t, Apply)
-    return f"{t.func}({', '.join(format_term(a) for a in t.args)})"
-
-
 def print_formula(phi: Formula, unicode_symbols: bool = False) -> str:
     """Canonical text; binary connectives are fully parenthesized.  The
-    pieces still to print are kept on an explicit stack, last piece first,
-    so any nesting depth prints."""
+    pieces still to print, terms among them, are kept on an explicit stack,
+    last piece first, so any nesting depth prints."""
     sym = _PRETTY if unicode_symbols else _ASCII
     out: list[str] = []
-    todo: list[Union[Formula, str]] = [phi]
+    todo: list[Union[Formula, Term, str]] = [phi]
     while todo:
         f = todo.pop()
         if isinstance(f, str):
             out.append(f)
-        elif isinstance(f, Rel):
-            out.append(f"{f.name}({', '.join(map(format_term, f.args))})" if f.args else f.name)
+        elif isinstance(f, (Var, Const)) or isinstance(f, Rel) and not f.args:
+            out.append(f.name)
+        elif isinstance(f, (Apply, Rel, Dep)):
+            head = f.func if isinstance(f, Apply) else f.name if isinstance(f, Rel) else "dep"
+            # head(, then the arguments with ", " between them, then )
+            todo += [")", *reversed([p for a in f.args for p in (", ", a)][1:]), f"{head}("]
         elif isinstance(f, Eq):
-            out.append(f"{format_term(f.left)} = {format_term(f.right)}")
-        elif isinstance(f, Dep):
-            out.append(f"dep({', '.join(map(format_term, f.args))})")
+            todo += [f.right, " = ", f.left]
         elif isinstance(f, Not):
             out.append(sym["not"])
             todo += [f.body] if isinstance(f.body, (Rel, Not)) else [")", f.body, "("]

@@ -3,14 +3,16 @@
 Formulas extend first-order syntax (relations, equality, ~, &, |, exists,
 forall) with dependence atoms dep(t1, ..., tn).  Negation may only wrap a
 first-order subformula; this is enforced at construction time.  All nodes
-are immutable values, and no fact derived from one is cached.
+are immutable values, and no fact derived from one is cached.  Every
+transformation that rebuilds a formula is one `rewrite` call, whose atom
+and bind hooks run in pre-order, left to right, on an explicit stack.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 
 class SyntaxError_(Exception):
@@ -129,21 +131,23 @@ def walk_term(t: Term) -> Iterator[Term]:
 
 
 def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
-    """The term with every variable v replaced by f(v)."""
-    if isinstance(t, Var):
-        return f(t)
-    if isinstance(t, Apply):
-        return Apply(t.func, tuple(map_vars(a, f) for a in t.args))
-    return t
+    """The term with every variable v replaced by f(v).  Its nodes are built
+    in reverse pre-order, each Apply from the results on top of the stack."""
+    if not isinstance(t, Apply):
+        return f(t) if isinstance(t, Var) else t
+    done: list[Term] = []
+    for u in reversed(list(walk_term(t))):
+        if isinstance(u, Apply):
+            u = Apply(u.func, tuple(done.pop() for _ in u.args))
+        elif isinstance(u, Var):
+            u = f(u)
+        done.append(u)
+    return done[0]
 
 
 def term_vars(t: Term) -> frozenset[str]:
     """Variables occurring in a term."""
     return frozenset(u.name for u in walk_term(t) if isinstance(u, Var))
-
-
-def substitute_term(t: Term, replacement: Term, x: str) -> Term:
-    return map_vars(t, lambda v: replacement if v.name == x else v)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,9 @@ _QUANT = (Exists, Forall)
 # A quantifier prefix: (Forall | Exists, variable) pairs, outermost first.
 Prefix = list[tuple[type, str]]
 
+# What a rewrite carries down to the atoms under each quantifier.
+Env = TypeVar("Env")
+
 
 def quantify(prefix: Prefix, body: Formula) -> Formula:
     """The formula that binds each variable of prefix, outermost first,
@@ -254,16 +261,37 @@ def subformulas(phi: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def rebuild(phi: Formula, parts: Sequence[Formula]) -> Formula:
-    """The node with its immediate subformulas replaced by parts, in the
-    order subformulas gives them; an atom is returned as it is."""
-    if isinstance(phi, (And, Or)):
-        return type(phi)(*parts)
-    if isinstance(phi, Not):
-        return Not(*parts)
-    if isinstance(phi, _QUANT):
-        return type(phi)(phi.var, *parts)
-    return phi
+def rewrite(
+    phi: Formula,
+    atom: Callable[[Formula, Env], Formula],
+    bind: Callable[[Formula, Env], tuple[Optional[str], Env]],
+    env: Env,
+) -> Formula:
+    """phi rebuilt bottom-up on an explicit stack, so any depth rewrites.
+    Each atom becomes atom(node, env).  At a quantifier, bind(node, env)
+    gives the variable it binds in the result, None to drop it, and the env
+    of its body.  The hooks run in pre-order, left to right."""
+    done: list[Formula] = []
+    # A node to visit with its env, or, once its subformulas are done, the
+    # class of a node to build with the variable it binds.
+    todo: list[tuple[object, object]] = [(phi, env)]
+    while todo:
+        f, e = todo.pop()
+        cls = type(f)
+        if cls is Rel or cls is Eq or cls is Dep:
+            done.append(atom(f, e))
+        elif cls is And or cls is Or:
+            todo += [(cls, None), (f.right, e), (f.left, e)]
+        elif cls is Not:
+            todo += [(Not, None), (f.body, e)]
+        elif cls is Exists or cls is Forall:
+            var, inner = bind(f, e)
+            todo += [(f.body, inner)] if var is None else [(cls, var), (f.body, inner)]
+        elif f is And or f is Or:
+            done[-2:] = [f(*done[-2:])]
+        else:
+            done[-1] = Not(done[-1]) if f is Not else f(e, done[-1])
+    return done[0]
 
 
 def walk(phi: Formula) -> Iterator[tuple[Formula, tuple[str, ...]]]:
@@ -357,18 +385,20 @@ def all_vars(phi: Formula) -> frozenset[str]:
 def substitute(phi: Formula, t: Term, x: str) -> Formula:
     """Replace free occurrences of x by t.
 
-    Raises CaptureError if a variable of t would become bound; the
-    operation never renames binders on its own.
+    Raises CaptureError at the first binder, in pre-order, that would
+    capture a variable of t; the operation never renames binders on its own.
     """
-    if isinstance(phi, _QUANT):
-        if phi.var == x:
-            return phi
-        if phi.var in term_vars(t) and x in free_vars(phi):
-            raise CaptureError(
-                f"substituting for {x} would capture {phi.var} from the term"
-            )
-    node = map_terms(phi, lambda u: substitute_term(u, t, x))
-    return rebuild(node, [substitute(p, t, x) for p in subformulas(phi)])
+    captors = term_vars(t)
+
+    def atom(f: Formula, binders: tuple[str, ...]) -> Formula:
+        if x in binders:
+            return f
+        caught = [v for v in binders if v in captors]
+        if caught and x in free_vars(f):
+            raise CaptureError(f"substituting for {x} would capture {caught[0]} from the term")
+        return map_terms(f, lambda u: map_vars(u, lambda v: t if v.name == x else v))
+
+    return rewrite(phi, atom, lambda q, binders: (q.var, binders + (q.var,)), ())
 
 
 def rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
@@ -378,18 +408,13 @@ def rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
     the walk raises ValueError at a quantifier.
     """
 
-    def rename(v: Var) -> Term:
-        return Var(mapping.get(v.name, v.name))
+    def bind(q: Formula, _: None) -> tuple[str, None]:
+        raise ValueError("rename_free expects a quantifier-free formula")
 
-    def go(f: Formula) -> Formula:
-        if isinstance(f, _QUANT):
-            raise ValueError("rename_free expects a quantifier-free formula")
-        parts = subformulas(f)
-        if parts:
-            return rebuild(f, [go(p) for p in parts])
-        return map_terms(f, lambda t: map_vars(t, rename))
+    def rename(f: Formula, _: None) -> Formula:
+        return map_terms(f, lambda t: map_vars(t, lambda v: Var(mapping.get(v.name, v.name))))
 
-    return go(phi)
+    return rewrite(phi, rename, bind, None)
 
 
 def fresh_variable(used: set[str], hint: str) -> str:

@@ -2,12 +2,15 @@
 and prefix conversion, with the exhaustive small-model oracle as the
 semantic referee."""
 
+import functools
 import random
 
 import pytest
 
 from deplogic import (
     And,
+    Apply,
+    Const,
     Dep,
     Eq,
     Exists,
@@ -21,6 +24,7 @@ from deplogic import (
     free_vars,
     is_first_order,
     parse_formula,
+    print_formula,
 )
 from deplogic.normalform import (
     NormalFormError,
@@ -35,7 +39,16 @@ from deplogic.normalform import (
     to_normal_form,
     to_prenex,
 )
-from deplogic.syntax import bound_vars, is_quantifier_free, quantify, strip_prefix, walk
+from deplogic.syntax import (
+    alpha_key,
+    bound_vars,
+    conjoin,
+    identical,
+    is_quantifier_free,
+    quantify,
+    strip_prefix,
+    walk,
+)
 
 from helpers import (
     CORPUS,
@@ -97,6 +110,13 @@ class TestPreprocess:
         deps = [f for f, _ in walk(out) if isinstance(f, Dep)]
         assert deps and all(isinstance(t, Var) for d in deps for t in d.args)
         assert oracle_equiv(phi, out, max_size=2)
+
+    def test_unnesting_variables_are_named_outermost_first(self):
+        voc = Vocabulary(functions={"f": 1})
+        fx, fy, z_1 = Apply("f", (x,)), Apply("f", (y,)), Var("z_1")
+        out = preprocess(parse_formula("dep(f(x), f(y))", voc))
+        inner = Exists("z_1", And(Dep((z, z_1)), Eq(z_1, fy)))
+        assert out == Exists("z", And(inner, Eq(z, fx)))
 
 
 class TestToPrenex:
@@ -183,6 +203,22 @@ class TestHoistDepAtoms:
         x_1 = Var("x_1")
         out = hoist_dep_atoms(Exists("x", Dep((x,))))
         assert out == Exists("x", Exists("x_1", And(Dep((x_1,)), Eq(x_1, x))))
+
+    def test_keeps_the_bracketing_of_the_matrix(self):
+        # Each atom is replaced where it stands; an & chain is not re-nested.
+        phi = parse_formula("forall x. (x = x | (dep(c) & dep(x)))", VOC_C)
+        nf = to_normal_form(phi)
+        assert print_formula(nf.matrix) == "(x = x | ((z_1 = z & z = c) & x_1 = x))"
+        right = parse_formula("x = x | (z_1 = z & (z = c & x_1 = x))", VOC_C)
+        assert alpha_key(nf.matrix) == alpha_key(right)
+        assert nf.dep_atoms == (((), "z_1"), ((), "x_1"))
+
+    def test_an_error_in_a_matrix_that_is_not_prenex(self):
+        # A quantifier is reported before an atom that is not unnested.
+        with pytest.raises(ShapeError, match="prenex"):
+            hoist_dep_atoms(And(Dep((Const("c"),)), Exists("y", Eq(y, y))))
+        with pytest.raises(ShapeError, match="unnested"):
+            hoist_dep_atoms(Exists("y", And(Dep((Const("c"),)), Dep((y,)))))
 
 
 class TestPullExistentialsLeft:
@@ -385,3 +421,69 @@ class TestBracketing:
     def test_split_dep_atoms_keeps_last_conjunct_as_matrix(self):
         with pytest.raises(ShapeError):
             split_dep_atoms(And(Dep((x,)), Dep((y,))))
+
+
+class TestDeepInputs:
+    """Every stage returns on formulas 5000 deep, past the recursion limit.
+    Results are compared by walking them, since `==` on nested dataclasses
+    recurses."""
+
+    N = 5000
+
+    @staticmethod
+    def chain(kind, parts, to_left):
+        if to_left:
+            return functools.reduce(kind, parts)
+        return functools.reduce(lambda acc, p: kind(p, acc), reversed(parts))
+
+    @pytest.mark.parametrize("to_left", [True, False])
+    def test_normal_form_of_a_conjunction_chain(self, to_left):
+        x_1 = Var("x_1")
+        phi = Forall("x", self.chain(And, [Eq(x, x)] * (self.N - 1) + [Dep((x,))], to_left))
+        nf = to_normal_form(phi)
+        assert (nf.universals, nf.existentials, nf.dep_atoms) == (("x",), ("x_1",), (((), "x_1"),))
+        assert identical(nf.matrix, conjoin([Eq(x, x)] * (self.N - 1) + [Eq(x_1, x)]))
+
+    @pytest.mark.parametrize("to_left", [True, False])
+    def test_normal_form_of_a_disjunction_chain(self, to_left):
+        x_1 = Var("x_1")
+        phi = Forall("x", self.chain(Or, [Eq(x, x)] * (self.N - 1) + [Dep((x,))], to_left))
+        nf = to_normal_form(phi)
+        assert (nf.universals, nf.existentials, nf.dep_atoms) == (("x",), ("x_1",), (((), "x_1"),))
+        expected = self.chain(Or, [Eq(x, x)] * (self.N - 1) + [Eq(x_1, x)], to_left)
+        assert identical(nf.matrix, expected)
+
+    def test_normal_form_under_nested_negations(self):
+        nots = Eq(x, x)
+        for _ in range(self.N):
+            nots = Not(nots)
+        nf = to_normal_form(Forall("x", nots))
+        assert nf.universals == ("x",) and identical(nf.matrix, nots)
+        nf = to_normal_form(Forall("x", And(nots, Dep((x,)))))
+        assert nf.existentials == ("x_1",)
+        assert identical(nf.matrix, And(nots, Eq(Var("x_1"), x)))
+
+    def test_prenex_of_deep_chains(self):
+        inner = Exists("y", Eq(x, y))
+        phi = conjoin([Eq(x, x)] * (self.N - 1) + [inner])
+        expected = Exists("y", conjoin([Eq(x, x)] * (self.N - 1) + [inner.body]))
+        assert identical(to_prenex(phi), expected)
+        for flips, kind in ((self.N, Exists), (self.N + 1, Forall)):
+            phi, matrix = inner, inner.body
+            for _ in range(flips):
+                phi, matrix = Not(phi), Not(matrix)
+            assert identical(to_prenex(phi), kind("y", matrix))
+
+    def test_preprocess_of_a_deep_chain(self):
+        f_y1, y_1 = Apply("f", (Var("y_1"),)), Var("y_1")
+        phi = conjoin([Eq(x, y)] * (self.N - 1) + [Exists("y", Dep((Apply("f", (y,)), y)))])
+        unnested = Exists("z", And(Dep((z, y_1)), Eq(z, f_y1)))
+        expected = conjoin([Eq(x, y)] * (self.N - 1) + [Exists("y_1", unnested)])
+        assert identical(preprocess(phi), expected)
+
+    def test_preprocess_of_nested_applications(self):
+        term = x
+        for _ in range(self.N):
+            term = Apply("f", (term,))
+        out = preprocess(Forall("x", Dep((term, x))))
+        assert identical(out, Forall("x", Exists("z", And(Dep((z, x)), Eq(z, term)))))

@@ -306,6 +306,20 @@ class TestDepth:
         text = print_formula(phi)
         assert text == "(" * (self.N - 1) + "x = x" + " & x = x)" * (self.N - 1)
 
+    def test_print_nested_applications(self):
+        # Terms are printed on the printer's own stack, so any depth prints.
+        term = x
+        for _ in range(self.N):
+            term = Apply("f", (term,))
+        text = print_formula(Eq(term, Const("c")))
+        assert text == "f(" * self.N + "x" + ")" * self.N + " = c"
+
+    def test_nested_applications_print_back(self):
+        # The reader still recurses once per application; 400 are read.
+        voc = Vocabulary(relations={"R": 2}, functions={"f": 1, "g": 2})
+        text = "R(" + "f(" * 400 + "g(x, y)" + ")" * 400 + ", x) & dep(f(x), y)"
+        assert print_formula(parse_formula(text, voc)) == f"({text})"
+
 
 class TestPrintFormula:
     def test_empty_dep(self):

@@ -38,6 +38,7 @@ from deplogic.syntax import (
     conjuncts,
     identical,
     is_quantifier_free,
+    map_vars,
     rename_free,
     term_vars,
     walk,
@@ -104,6 +105,16 @@ class TestSubstitute:
 
     def test_dep_replacement(self):
         assert substitute(Dep((x, y)), Const("c"), "x") == Dep((Const("c"), y))
+
+    def test_capture_names_the_outermost_capturing_binder(self):
+        term = Apply("g", (Var("v"), Var("u")))
+        inner = Exists("u", Exists("v", Eq(x, y)))
+        with pytest.raises(CaptureError, match="would capture u from the term"):
+            substitute(inner, term, "x")
+        # The atom with a free x lies under v alone; u's atom binds x itself.
+        phi = And(Exists("u", Exists("x", Eq(x, y))), Exists("v", Forall("u", Eq(x, y))))
+        with pytest.raises(CaptureError, match="would capture v from the term"):
+            substitute(phi, term, "x")
 
     def test_bound_occurrences_untouched(self):
         phi = Exists("x", Eq(x, y))
@@ -416,6 +427,28 @@ class TestDeepFormulas:
         renamed = Exists("z", conjoin([Eq(z, y)] * 5000))
         assert alpha_equal(Exists("x", matrix), renamed)
         assert not alpha_equal(Exists("x", matrix), Exists("y", matrix))
+
+    def test_substitute_and_rename_free_return(self):
+        chain = conjoin([Eq(x, y)] * self.N)
+        assert identical(substitute(chain, z, "x"), conjoin([Eq(z, y)] * self.N))
+        swapped = rename_free(chain, {"x": "y", "y": "x"})
+        assert identical(swapped, conjoin([Eq(y, x)] * self.N))
+        phi, expected = Eq(x, y), Eq(z, y)
+        for i in range(self.N):
+            phi, expected = Forall(f"u{i}", Not(phi)), Forall(f"u{i}", Not(expected))
+        assert identical(substitute(phi, z, "x"), expected)
+        with pytest.raises(CaptureError, match="capture u0 "):
+            substitute(phi, Var("u0"), "x")
+        with pytest.raises(ValueError, match="quantifier-free"):
+            rename_free(And(chain, phi), {})
+
+    def test_substitute_into_nested_applications(self):
+        term, expected = x, Const("c")
+        for _ in range(self.N):
+            term, expected = Apply("f", (term,)), Apply("f", (expected,))
+        out = substitute(Rel("R", (term, x)), Const("c"), "x")
+        assert identical(out, Rel("R", (expected, Const("c"))))
+        assert identical(map_vars(term, lambda v: Const("c")), expected)
 
     def test_identical_returns(self):
         phi, same, other = Eq(x, y), Eq(x, y), Eq(y, x)
