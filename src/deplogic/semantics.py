@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .normalform import NormalFormSentence, to_normal_form
+from .normalform import NormalFormError, NormalFormSentence, to_normal_form
 from .syntax import (
     And,
     Apply,
@@ -528,8 +528,9 @@ def sentence_true(
 
     A first-order sentence is evaluated by Tarski semantics.  Any other is
     brought into normal form and decided by the Skolem search, which agrees
-    with `satisfies` on the team of the empty assignment.  SentenceError is
-    raised by the compiler's slot lookup or before the normal form is built.
+    with `satisfies` on the team of the empty assignment.  Whether the input
+    is a sentence is read once, by the compiler's slot lookup or by the
+    normal form's own check; either failing raises SentenceError.
     """
     if is_first_order(phi):
         try:
@@ -538,8 +539,14 @@ def sentence_true(
             pass
         else:
             return code([0] * width)
-    elif is_sentence(phi):
-        return _skolem_true(m, to_normal_form(phi), _Counter(budget or SearchBudget()))
+    else:
+        try:
+            nf = to_normal_form(phi)
+        except NormalFormError:
+            if is_sentence(phi):
+                raise
+        else:
+            return _skolem_true(m, nf, _Counter(budget or SearchBudget()))
     raise SentenceError(f"formula has free variables {sorted(free_vars(phi))}")
 
 
@@ -558,8 +565,11 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
     order, nx, n = xs + ys, len(xs), len(ys)
     # Each variable's index in `values`, the environment of the checks.
     rank = {v: i for i, v in enumerate(order)}
-    keys = {y: tuple(rank[v] for v in w) for w, y in nf.dep_atoms}
-    key_of = [keys.get(y) for y in ys]
+    # The reader of each table's key in `values`: the values of w, or the
+    # constant () for an atom with no arguments.
+    readers = {
+        y: itemgetter(*[rank[v] for v in w]) if w else lambda _: () for w, y in nf.dep_atoms
+    }
     universal_checks: list[Formula] = []
     checks: list[list[Formula]] = [[] for _ in ys]
     for part in conjuncts(nf.matrix):
@@ -576,48 +586,65 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
     universal, *due_code = [code for code, _ in compiled]
     rows = list(itertools.product(range(m.size), repeat=nx))
     # A conjunct over universals alone fails whatever the tables hold.
-    for row in rows:
-        values[:nx] = row
-        if universal is not None and not universal(values):
-            return False
+    if universal is not None:
+        for row in rows:
+            values[:nx] = row
+            if not universal(values):
+                return False
 
-    tables: list[Optional[dict[tuple[int, ...], int]]] = [
-        None if key is None else {} for key in key_of
+    # Per existential: its index in `values`, its table and key reader (None
+    # for one that no atom determines) and its check.
+    slots = [
+        (nx + j, {} if y in readers else None, readers.get(y), due)
+        for j, (y, due) in enumerate(zip(ys, due_code))
     ]
-    chosen = [0] * (len(rows) * n)
-    filled: list[Optional[tuple[int, ...]]] = [None] * len(chosen)
-    p, start = 0, 0
-    while 0 <= p < len(chosen):
-        r, j = divmod(p, n)
-        values[:nx] = rows[r]
-        values[nx : nx + j] = chosen[p - j : p]
-        table, key, due = tables[j], None, due_code[j]
-        candidates = range(start, m.size)
+    tails = [tuple(range(a, m.size)) for a in range(m.size + 1)]
+    spend = counter.spend
+    end = len(rows) * n
+    chosen = [0] * end
+    filled: list[object] = [None] * end
+    # Slot p is (tuple r, existential j), p = r * n + j.  `values` holds
+    # tuple r and the values chosen for its existentials before j.
+    p = r = j = start = 0
+    values[:nx] = rows[0]
+    while p < end:
+        i, table, key_at, due = slots[j]
+        candidates = tails[start]
         if table is not None:
-            key = tuple(values[i] for i in key_of[j])
-            if key in table:
+            key = key_at(values)
+            fixed = table.get(key)
+            if fixed is not None:
                 # Fixed by an earlier slot: one candidate, tried once.
-                fixed = table[key]
-                candidates = range(fixed, fixed + 1) if start == 0 else range(0)
+                candidates = (fixed,) if start == 0 else ()
         for a in candidates:
-            counter.spend()
-            values[nx + j] = a
-            if due is not None and not due(values):
-                continue
-            chosen[p] = a
-            if table is not None and key not in table:
-                table[key] = a
-                filled[p] = key
-            p, start = p + 1, 0
-            break
+            spend()
+            values[i] = a
+            if due is None or due(values):
+                break
         else:
+            if p == 0:
+                return False
             p -= 1
-            if p >= 0:
-                if filled[p] is not None:
-                    del tables[p % n][filled[p]]
-                    filled[p] = None
-                start = chosen[p] + 1
-    return p == len(chosen)
+            if j:
+                j -= 1
+            else:
+                r, j = r - 1, n - 1
+                values[:nx] = rows[r]
+                values[nx : nx + n] = chosen[p - j : p + 1]
+            if filled[p] is not None:
+                del slots[j][1][filled[p]]
+                filled[p] = None
+            start = chosen[p] + 1
+            continue
+        chosen[p] = a
+        if table is not None and fixed is None:
+            table[key] = a
+            filled[p] = key
+        p, j, start = p + 1, j + 1, 0
+        if j == n and p < end:
+            r, j = r + 1, 0
+            values[:nx] = rows[r]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,8 @@ class Not(Formula):
     body: Formula
 
     def __post_init__(self) -> None:
-        if not is_first_order(self.body):
+        # An equality, a relation atom or a negation is first-order as built.
+        if not isinstance(self.body, (Eq, Rel, Not)) and not is_first_order(self.body):
             raise NegationScopeError(
                 "negation may only be applied to first-order formulas"
             )

@@ -282,6 +282,25 @@ class TestSentenceTrue:
         with pytest.raises(SentenceError, match=re.escape("free variables ['x', 'y']")):
             sentence_true(Model(2), Eq(x, y))
 
+    def test_a_dependence_sentence_is_read_for_free_variables_twice(self, monkeypatch):
+        # Once by the normal form's check that it is a sentence and once by
+        # preprocess, for the names that fresh binders avoid.
+        from deplogic import normalform, semantics, syntax
+
+        phi = parse_formula(EXAMPLE3_TEXT, VOC_C)
+        walks = []
+
+        def counted(f):
+            walks.append(f is phi)
+            return free_vars(f)
+
+        for module in (syntax, normalform, semantics):
+            monkeypatch.setattr(module, "free_vars", counted)
+        assert not sentence_true(Model(2, constants={"c": 0}), phi)
+        assert walks.count(True) == 2
+        with pytest.raises(SentenceError, match=re.escape("free variables ['x']")):
+            sentence_true(Model(2), Dep((x,)))
+
     def test_example3_false_on_size_two(self):
         phi = parse_formula(EXAMPLE3_TEXT, VOC_C)
         assert not sentence_true(Model(2, constants={"c": 0}), phi)
@@ -341,15 +360,40 @@ class TestBudget:
             with pytest.raises(BudgetExceededError):
                 satisfies(m, EMPTY_DOMAIN_SINGLETON, phi, SearchBudget(34))
 
+    # The benchmark's sentence families, each as a & (b & c) and as a & b & c.
+    SPELLINGS = {
+        "injection": "forall x. exists y. exists z. (dep(y,z) & {}x = z & P(y){})",
+        "example3": "forall x. exists y. exists z. (dep(y,z) & {}x = z & ~(y = c){})",
+        "theta1": "exists z. forall x. exists y. (dep(y,x) & {}~(y = z) & (P(x) | ~P(x)){})",
+        "two_universal": "forall x. forall u. exists y. "
+        "(dep(x,y) & {}(R(x,y) | x = u) & (P(u) | ~P(u)){})",
+    }
+    # (family, size, |P|, truth, points): P = {0, ..., |P| - 1}, R is the
+    # successor cycle and c = 0.  Each count is the smallest budget that
+    # reaches the verdict.
+    SKOLEM_POINTS = [
+        ("injection", 3, 2, False, 33),
+        ("injection", 4, 3, False, 157),
+        ("example3", 3, 3, False, 33),
+        ("example3", 4, 4, False, 157),
+        ("theta1", 3, 1, False, 114),
+        ("theta1", 4, 2, False, 692),
+        ("two_universal", 3, 3, True, 13),
+        ("two_universal", 4, 4, True, 23),
+    ]
+
     def test_both_spellings_need_the_same_skolem_points(self):
-        # 33 values tried at size 3, table lookups included: the spellings
-        # share one normal form, so the Skolem search runs the same way.
-        m = Model(3, constants={"c": 0})
-        for text in (EXAMPLE3_TEXT, EXAMPLE3_FLAT_TEXT):
-            phi = parse_formula(text, VOC_C)
-            assert not sentence_true(m, phi, SearchBudget(33))
-            with pytest.raises(BudgetExceededError):
-                sentence_true(m, phi, SearchBudget(32))
+        # Values tried, table lookups included: the spellings share one
+        # normal form, so the Skolem search runs the same way.
+        voc = Vocabulary(relations={"P": 1, "R": 2}, constants={"c"})
+        for family, k, p, truth, points in self.SKOLEM_POINTS:
+            cycle = {(a, (a + 1) % k) for a in range(k)}
+            m = Model(k, relations={"P": {(a,) for a in range(p)}, "R": cycle}, constants={"c": 0})
+            for brackets in (("(", ")"), ("", "")):
+                phi = parse_formula(self.SPELLINGS[family].format(*brackets), voc)
+                assert sentence_true(m, phi, SearchBudget(points)) is truth
+                with pytest.raises(BudgetExceededError):
+                    sentence_true(m, phi, SearchBudget(points - 1))
 
     def test_split_points_on_a_team(self):
         # The splits of three rows are tried in ascending order; the fifth,

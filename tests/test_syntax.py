@@ -91,6 +91,11 @@ class TestNegationScope:
     def test_not_over_fo_fine(self):
         Not(Forall("x", Rel("R", (x,))))
 
+    def test_not_over_a_connective_holding_dep_rejected(self):
+        # Atoms and negations skip the walk; a connective is still walked.
+        with pytest.raises(NegationScopeError):
+            Not(And(Eq(x, x), Dep((x,))))
+
 
 class TestSubstitute:
     def test_capture_refused(self):
