@@ -206,17 +206,13 @@ def check_proof(proof: Proof, allowed_open: Sequence[Formula]) -> CheckReport:
         failures += [(step.index, Diagnostic(p)) for p in problems]
 
     hypotheses = {alpha_key(h) for h in allowed_open}
-    # Repeated assumptions share one Formula, so each object is keyed once.
-    allowed: dict[int, bool] = {}
-    for step in proof.steps:
-        if step.rule == "assume" and step.index not in discharged_at:
-            f = step.formula
-            ok = allowed.get(id(f))
-            if ok is None:
-                ok = allowed[id(f)] = alpha_key(f) in hypotheses
-            if not ok:
-                message = "assumption is still open and not among the hypotheses"
-                failures.append((step.index, Diagnostic(message)))
+    failures += [
+        (step.index, Diagnostic("assumption is still open and not among the hypotheses"))
+        for step in proof.steps
+        if step.rule == "assume"
+        and step.index not in discharged_at
+        and alpha_key(step.formula) not in hypotheses
+    ]
 
     failures.sort(key=lambda pair: pair[0])
     return CheckReport(tuple(failures))

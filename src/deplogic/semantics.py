@@ -598,7 +598,7 @@ def _skolem_true(m: Model, nf: NormalFormSentence, counter: _Counter) -> bool:
         (nx + j, {} if y in readers else None, readers.get(y), due)
         for j, (y, due) in enumerate(zip(ys, due_code))
     ]
-    tails = [tuple(range(a, m.size)) for a in range(m.size + 1)]
+    tails = [range(a, m.size) for a in range(m.size + 1)]
     spend = counter.spend
     end = len(rows) * n
     chosen = [0] * end

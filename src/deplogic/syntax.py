@@ -189,8 +189,7 @@ class Not(Formula):
     body: Formula
 
     def __post_init__(self) -> None:
-        # An equality, a relation atom or a negation is first-order as built.
-        if not isinstance(self.body, (Eq, Rel, Not)) and not is_first_order(self.body):
+        if not is_first_order(self.body):
             raise NegationScopeError(
                 "negation may only be applied to first-order formulas"
             )
@@ -336,8 +335,11 @@ def _head(phi: Formula) -> tuple[object, ...]:
 
 
 def is_first_order(phi: Formula) -> bool:
-    """True iff no dependence atom occurs anywhere in the formula.  A
-    negation is first-order by construction, so the walk does not enter it."""
+    """True iff no dependence atom occurs anywhere in the formula.  An
+    equality, a relation atom or a negation is first-order as built, so the
+    walk does not enter it."""
+    if isinstance(phi, (Eq, Rel, Not)):
+        return True
     stack = [phi]
     while stack:
         f = stack.pop()

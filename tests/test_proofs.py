@@ -23,8 +23,6 @@ from deplogic import (
     parse_vocabulary,
 )
 
-from deplogic import proofs
-from deplogic.syntax import alpha_key
 from helpers import EXAMPLE3_TEXT, VOC_C, entails_on_small_models
 
 EXAMPLE3_FLAT_TEXT = "forall x. exists y. exists z. (dep(y,z) & x = z & ~(y = c))"
@@ -90,18 +88,6 @@ class TestOpenAssumptions:
         report = check_proof(parse_proof(text, VOC_PQR), [parse_formula("~P(x)", VOC_PQR)])
         messages = [(i, d.message) for i, d in report.failures]
         assert messages == [(4, "the step discharges assumption 1 twice")]
-
-    def test_repeated_assumptions_are_keyed_once(self, monkeypatch):
-        # The reader gives repeated steps one Formula: one key for the
-        # hypothesis and one per distinct assumption, P(c) and Q(c).
-        voc = Vocabulary(relations={"P": 1, "Q": 1}, constants={"c"})
-        proof = parse_proof("1. P(c) assume\n2. Q(c) assume\n3. P(c) assume\n4. P(c) assume\n", voc)
-        assert proof.steps[0].formula is proof.steps[2].formula is proof.steps[3].formula
-        keyed = []
-        monkeypatch.setattr(proofs, "alpha_key", lambda f: keyed.append(f) or alpha_key(f))
-        report = check_proof(proof, [parse_formula("P(c)", voc)])
-        assert [i for i, _ in report.failures] == [2]
-        assert len(keyed) == 3
 
 
 class TestDeepProof:

@@ -477,6 +477,15 @@ class TestSkolemSearch:
             phi = Forall(v, phi)
         assert sentence_true(Model(4), phi)
 
+    def test_large_domain_costs_no_quadratic_set_up(self):
+        # One candidate settles dep(y); the search's set-up must not grow
+        # with the square of the domain, which would not fit in memory here.
+        phi = parse_formula("exists y. (dep(y) & y = y)", Vocabulary())
+        assert sentence_true(Model(50_000), phi, SearchBudget(1))
+        phi = parse_formula("forall x. exists y. (dep(x,y) & y = x)", Vocabulary())
+        with pytest.raises(BudgetExceededError):
+            sentence_true(Model(20_000), phi, SearchBudget(1_000))
+
 
 class TestEquivOracle:
     def test_deep_chain_under_disjunction(self):
